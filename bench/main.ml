@@ -9,6 +9,7 @@
      dune exec bench/main.exe -- quick table1   # E1 with fewer patterns
      dune exec bench/main.exe -- domains=4 profile
      dune exec bench/main.exe -- no-cache micro # cold-cache kernels
+     dune exec bench/main.exe -- label=change table1-json
 
    One Bechamel test per paper table/figure measures the kernel that
    produces it. *)
@@ -120,24 +121,20 @@ let micro_tests () =
       (Cell.Genlib.libraries ())
   in
   let sim_seq_vs_par =
-    (* Sequential vs. domain-parallel sweep over the same mapped netlist
-       and stimulus: the pair pins the parallel speedup (and on a 1-core
-       host, the sharding overhead) of the bit-sliced kernel. *)
+    (* Sequential vs. domain-parallel streaming activity sweep over the
+       same mapped netlist: the pair pins the parallel speedup (and on a
+       1-core host, the sharding overhead) of the bit-sliced kernel. *)
     let nl = Circuits.Multiplier.generate ~width:8 in
     let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
     let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
     let mapped = Techmap.Mapper.map ml aig in
-    let stimulus =
-      Nets.Sim.random_stimulus ~domains:1
-        ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:65536 ()
-    in
     [
       Test.make ~name:"simulate-mult8-64k-seq"
         (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.simulate ~domains:1 mapped stimulus)));
+             ignore (Techmap.Mapped.activity ~domains:1 mapped ~patterns:65536)));
       Test.make ~name:"simulate-mult8-64k-par"
         (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.simulate mapped stimulus)));
+             ignore (Techmap.Mapped.activity mapped ~patterns:65536)));
     ]
   in
   let supervise =
@@ -255,6 +252,119 @@ let run_profile () =
   | Ok () -> Format.printf "wrote %s@." path
   | Error e -> Format.eprintf "cannot write %s: %a@." path Runtime.Cnt_error.pp e);
   T.pp std prof
+
+(* ------------------------------------------------------------------ *)
+(* Table 1 rows at 640 K patterns, one process each: BENCH_table1.json *)
+
+let label = ref "current"
+let table1_circuits = [ "des"; "C6288" ]
+
+(* Peak resident set size of this process in MB, from Linux's
+   /proc/self/status; 0 where that is unavailable. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0.0
+  | status ->
+      List.fold_left
+        (fun acc line ->
+          match Scanf.sscanf line "VmHWM: %f kB" (fun kb -> kb /. 1024.0) with
+          | mb -> mb
+          | exception _ -> acc)
+        0.0
+        (String.split_on_char '\n' status)
+
+(* One "<circuit>/<family>" row in this process: synthesize and map, then
+   time the 640 K-pattern estimate and measure the major-heap growth it
+   causes. Prints the row as the last line of standard output. *)
+let run_table1_row spec =
+  let module J = Runtime.Checkpoint in
+  let circuit, family =
+    match String.split_on_char '/' spec with
+    | [ c; f ] -> (c, f)
+    | _ -> failwith ("table1-row wants <circuit>/<family>, got " ^ spec)
+  in
+  let entry =
+    List.find (fun e -> e.Circuits.Suite.name = circuit) Circuits.Suite.all
+  in
+  let lib = Option.get (Cell.Genlib.find_library family) in
+  let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist (entry.Circuits.Suite.generate ())) in
+  let mapped = Techmap.Mapper.map (Techmap.Matchlib.build lib) aig in
+  Gc.full_major ();
+  let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+  let before = top () in
+  let t0 = Unix.gettimeofday () in
+  let r = Techmap.Estimate.run ~patterns:Techmap.Estimate.default_patterns mapped in
+  let wall = Unix.gettimeofday () -. t0 in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576.0 in
+  print_endline
+    (J.json_to_string_compact
+       (J.Obj
+          [
+            ("circuit", J.Str circuit);
+            ("family", J.Str family);
+            ("gates", J.Num (float_of_int r.Techmap.Estimate.gates));
+            ("total_W", J.Num r.Techmap.Estimate.total);
+            ("estimate_s", J.Num wall);
+            ("estimate_heap_growth_mb", J.Num (mb (top () - before)));
+            ("row_peak_rss_mb", J.Num (peak_rss_mb ()));
+          ]))
+
+(* Runs every (circuit x family) row in its own child process, so each
+   row's heap growth and peak RSS are its own, and records them under
+   [label=NAME] (default "current") in BENCH_table1.json, keeping the
+   other labels already there (e.g. a measurement of the parent commit). *)
+let run_table1_json () =
+  let module J = Runtime.Checkpoint in
+  Format.printf "@.#### Table 1 rows at %d patterns, one process each ####@."
+    Techmap.Estimate.default_patterns;
+  let measure spec =
+    let t0 = Unix.gettimeofday () in
+    let ic =
+      Unix.open_process_args_in Sys.executable_name
+        [| Sys.executable_name; "table1-row=" ^ spec |]
+    in
+    let out = In_channel.input_all ic in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> ()
+    | _ -> failwith ("table1 row failed: " ^ spec));
+    let last =
+      List.find (fun l -> l <> "") (List.rev (String.split_on_char '\n' out))
+    in
+    match J.json_of_string last with
+    | Ok (J.Obj fields) ->
+        let row = J.Obj (fields @ [ ("row_wall_s", J.Num (Unix.gettimeofday () -. t0)) ]) in
+        Format.printf "  %s@." (J.json_to_string_compact row);
+        row
+    | _ -> failwith ("unparseable table1 row: " ^ last)
+  in
+  let rows =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun (l : Cell.Genlib.t) -> measure (c ^ "/" ^ l.Cell.Genlib.name))
+          Cell.Genlib.all_libraries)
+      table1_circuits
+  in
+  let path = "BENCH_table1.json" in
+  let others =
+    match Result.bind (J.read_file path) J.json_of_string with
+    | Ok (J.Obj fields) -> (
+        match List.assoc_opt "runs" fields with
+        | Some (J.Obj runs) -> List.remove_assoc !label runs
+        | _ -> [])
+    | _ -> []
+  in
+  let doc =
+    J.Obj
+      [
+        ("patterns", J.Num (float_of_int Techmap.Estimate.default_patterns));
+        ("domains", J.Num (float_of_int (Runtime.Dpool.default_domains ())));
+        ("runs", J.Obj (others @ [ (!label, J.Arr rows) ]));
+      ]
+  in
+  match J.write_atomic ~path (J.json_to_string doc) with
+  | Ok () -> Format.printf "wrote %s (label %s)@." path !label
+  | Error e -> Format.eprintf "cannot write %s: %a@." path Runtime.Cnt_error.pp e
 
 (* ------------------------------------------------------------------ *)
 (* serve round-trip: warm-cache request latency against a live daemon  *)
@@ -411,6 +521,14 @@ let () =
           Runtime.Diskcache.set_enabled false;
           false
         end
+        else if String.starts_with ~prefix:"label=" a then begin
+          label := String.sub a 6 (String.length a - 6);
+          false
+        end
+        else if String.starts_with ~prefix:"table1-row=" a then begin
+          run_table1_row (String.sub a 11 (String.length a - 11));
+          exit 0
+        end
         else if String.length a > 8 && String.sub a 0 8 = "domains=" then begin
           (match int_of_string_opt (String.sub a 8 (String.length a - 8)) with
           | Some d when d >= 1 && d <= Runtime.Dpool.max_domains ->
@@ -437,6 +555,7 @@ let () =
       ("seq", run_seq);
       ("sensitivity", run_sensitivity);
       ("table1", run_table1);
+      ("table1-json", run_table1_json);
       ("ablations", run_ablations);
       ("micro", run_micro);
       ("profile", run_profile);

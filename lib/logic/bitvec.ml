@@ -15,7 +15,8 @@ let tail_mask len =
   if r = 0 then -1L else Int64.sub (Int64.shift_left 1L r) 1L
 
 let clamp t =
-  if t.len > 0 then begin
+  if t.len = 0 then t.data.(0) <- 0L
+  else begin
     let last = nwords t.len - 1 in
     t.data.(last) <- Int64.logand t.data.(last) (tail_mask t.len)
   end

@@ -29,6 +29,10 @@ val clamp : t -> unit
     that writes {!words} directly (the flat simulation kernels); every
     operation of this module already maintains the invariant. *)
 
+val tail_mask : int -> int64
+(** [tail_mask n] keeps the bits of the last storage word of an [n]-bit
+    vector that lie below [n] (all bits when [n] is a multiple of 64). *)
+
 val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t

@@ -50,7 +50,13 @@ let default_domains () =
           let n = recommended () in
           if n < 1 then 1 else if n > max_domains then max_domains else n)
 
-type stats = { domains_used : int; chunks : int; units : int array }
+type stats = {
+  domains_used : int;
+  chunks : int;
+  units : int array;
+  busy_s : float array;
+  wall_s : float;
+}
 
 let run ?domains ?(min_units_per_domain = 256) ~units f =
   if units < 0 then invalid_arg "Dpool.run: negative units";
@@ -62,9 +68,17 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
   let mupd = if min_units_per_domain < 1 then 1 else min_units_per_domain in
   let by_work = units / mupd in
   let d = min requested (max 1 by_work) in
+  let t0 = Unix.gettimeofday () in
   if d <= 1 || units = 0 then begin
     if units > 0 then f ~worker:0 ~lo:0 ~len:units;
-    { domains_used = 1; chunks = (if units > 0 then 1 else 0); units = [| units |] }
+    let wall_s = Unix.gettimeofday () -. t0 in
+    {
+      domains_used = 1;
+      chunks = (if units > 0 then 1 else 0);
+      units = [| units |];
+      busy_s = [| wall_s |];
+      wall_s;
+    }
   end
   else begin
     (* Chunks several times smaller than a per-domain share smooth out load
@@ -73,6 +87,7 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
     let nchunks = (units + chunk - 1) / chunk in
     let cursor = Atomic.make 0 in
     let done_units = Array.make d 0 in
+    let busy_s = Array.make d 0.0 in
     let failure : (exn * Printexc.raw_backtrace) option Atomic.t =
       Atomic.make None
     in
@@ -82,10 +97,12 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
         if c < nchunks && Atomic.get failure = None then begin
           let lo = c * chunk in
           let len = min chunk (units - lo) in
+          let c0 = Unix.gettimeofday () in
           (try f ~worker ~lo ~len
            with e ->
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+          busy_s.(worker) <- busy_s.(worker) +. (Unix.gettimeofday () -. c0);
           done_units.(worker) <- done_units.(worker) + len;
           loop ()
         end
@@ -111,5 +128,14 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
     (match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
-    { domains_used = d; chunks = nchunks; units = done_units }
+    {
+      domains_used = d;
+      chunks = nchunks;
+      units = done_units;
+      busy_s;
+      wall_s = Unix.gettimeofday () -. t0;
+    }
   end
+
+let parallel_speedup s =
+  if s.wall_s <= 0.0 then 1.0 else Array.fold_left ( +. ) 0.0 s.busy_s /. s.wall_s

@@ -52,7 +52,17 @@ type stats = {
   units : int array;
       (** units processed per worker, indexed [0 .. domains_used - 1];
           worker 0 is the calling domain *)
+  busy_s : float array;
+      (** seconds each worker spent inside the chunk function, indexed
+          like [units] *)
+  wall_s : float;  (** wall time of the whole {!run} call *)
 }
+
+val parallel_speedup : stats -> float
+(** Observed speedup of one run: the summed per-worker busy time over
+    the run's wall time (Σ [busy_s] ÷ [wall_s]; 1 for a sequential run,
+    up to [domains_used] when every worker was busy throughout). Needs no
+    second, sequential run to compare against. *)
 
 val run :
   ?domains:int ->

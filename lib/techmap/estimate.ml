@@ -1,4 +1,3 @@
-module B = Logic.Bitvec
 module G = Cell.Genlib
 
 type report = {
@@ -57,62 +56,31 @@ let static_components (m : Mapped.t) ~probs =
     m.Mapped.cells;
   (!static, !gate_leak)
 
-(* Calibration size for the observed parallel speedup: big enough that
-   per-word cost dominates, small next to the 640 K-pattern sweep. *)
-let calibration_patterns = 65_536
-
 let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
   T.with_span "techmap.estimate" (fun () ->
   let tech = m.Mapped.lib.G.tech in
   let vdd = tech.Spice.Tech.vdd in
   let f = Spice.Tech.frequency in
-  let stimulus =
-    Nets.Sim.random_stimulus ?domains ~seed
-      ~inputs:(Array.length m.Mapped.pi_nets) ~patterns ()
-  in
   let t0 = if T.enabled () then T.now () else 0.0 in
-  let values =
+  let act =
     T.with_span "estimate.simulate" (fun () ->
-        Mapped.simulate ?domains m stimulus)
+        Mapped.activity ?domains ~seed m ~patterns)
   in
   if T.enabled () then begin
     let dt = T.now () -. t0 in
     T.count "estimate.patterns_simulated" patterns;
     T.count "estimate.cells_simulated" (Array.length m.Mapped.cells);
     if dt > 0.0 then
-      T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt);
-    (* Observed speedup vs. a single domain, from a short sequential
-       calibration run on a fresh stimulus slice. Telemetry is switched
-       off around it so the calibration inflates no counters. *)
-    let requested =
-      match domains with
-      | Some d -> d
-      | None -> Runtime.Dpool.default_domains ()
-    in
-    if requested > 1 && dt > 0.0 && patterns >= calibration_patterns then begin
-      let cal = min patterns calibration_patterns in
-      let cal_stim =
-        Nets.Sim.random_stimulus ~domains:1 ~seed
-          ~inputs:(Array.length m.Mapped.pi_nets) ~patterns:cal ()
-      in
-      T.set_enabled false;
-      let c0 = T.now () in
-      ignore (Mapped.simulate ~domains:1 m cal_stim);
-      let cdt = T.now () -. c0 in
-      T.set_enabled true;
-      if cdt > 0.0 then begin
-        let rate_seq = float_of_int cal /. cdt in
-        let rate_par = float_of_int patterns /. dt in
-        T.observe "sim.parallel_speedup" (rate_par /. rate_seq)
-      end
-    end
+      T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt)
   end;
   let toggle net =
     if patterns <= 1 then 0.0
-    else float_of_int (B.transitions values.(net)) /. float_of_int (patterns - 1)
+    else float_of_int act.Mapped.toggles.(net) /. float_of_int (patterns - 1)
   in
-  let prob net = float_of_int (B.popcount values.(net)) /. float_of_int patterns in
+  let probs =
+    Array.map (fun ones -> float_of_int ones /. float_of_int patterns) act.Mapped.ones
+  in
   let loads = Mapped.net_loads ~wire_cap_per_fanout m in
   (* Dynamic power: every net that toggles charges its load. *)
   let dynamic = ref 0.0 in
@@ -121,11 +89,11 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
   done;
   (* Static and gate leakage from the per-gate characterization. *)
   let static, gate_leak =
-    T.with_span "estimate.characterize" (fun () -> static_components m ~probs:prob)
+    T.with_span "estimate.characterize" (fun () ->
+        static_components m ~probs:(Array.get probs))
   in
-  let static = ref static and gate_leak = ref gate_leak in
   let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
-  let total = !dynamic +. short_circuit +. !static +. !gate_leak in
+  let total = !dynamic +. short_circuit +. static +. gate_leak in
   let delay = Mapped.delay m in
   {
     gates = Mapped.num_gates m;
@@ -133,8 +101,8 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     delay;
     dynamic = !dynamic;
     short_circuit;
-    static = !static;
-    gate_leak = !gate_leak;
+    static;
+    gate_leak;
     total;
     edp = Power.Powermodel.edp ~total_power:total ~delay ();
   })

@@ -30,11 +30,14 @@ val run :
   Mapped.t ->
   report
 (** [wire_cap_per_fanout] adds lumped interconnect capacitance per driven
-    pin (default 0, the paper's assumption). The Monte-Carlo sweep shards
-    across [?domains] (default {!Runtime.Dpool.default_domains});
-    reported figures are bit-identical for any domain count. With
-    telemetry enabled and more than one domain, a short sequential
-    calibration run feeds the [sim.parallel_speedup] distribution. *)
+    pin (default 0, the paper's assumption). Toggle rates and signal
+    probabilities come from the integer counts of {!Mapped.activity}: the
+    Monte-Carlo sweep shards across [?domains] (default
+    {!Runtime.Dpool.default_domains}), reported figures are bit-identical
+    for any domain count, and memory is bounded by the netlist size, not
+    [patterns] — one off-heap 4096-pattern scratch of 512 B per net per
+    domain plus a few integers per net, so the major heap does not grow
+    with the pattern count. *)
 
 val static_components : Mapped.t -> probs:(int -> float) -> float * float
 (** [(static, gate_leak)] powers in W of every cell, weighting each cell's

@@ -55,6 +55,146 @@ let gate_histogram t =
   Hashtbl.fold (fun name count acc -> (name, count) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
+(* ------------------------------------------------------------------ *)
+(* Bit-parallel simulation kernel                                       *)
+
+module A1 = Bigarray.Array1
+
+(* Bigarray reads and writes compile to unboxed loads and stores only
+   where this type is known statically, so every buffer parameter
+   carries it. *)
+type rows = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
+
+(* Words per net row of the scratch buffer: one chunk of the pattern
+   axis is 64 words = 4096 patterns. A des-sized netlist's scratch
+   (3.5 K nets) is then 1.8 MB per domain, off the OCaml heap, and stays
+   cache-resident while every cell of the chunk is evaluated. *)
+let chunk_words = 64
+
+(* The cells lowered to flat integer arrays, so the kernel is raw word
+   loops: cell [c] ORs cubes [cell_first.(c) .. cell_first.(c+1) - 1];
+   cube [k] ANDs literals [cube_first.(k) .. cube_first.(k+1) - 1]; a
+   literal is its net's scratch-row offset shifted left once, low bit set
+   when the literal is negated. *)
+type program = {
+  out_rows : int array;
+  cell_first : int array;
+  cube_first : int array;
+  lits : int array;
+}
+
+let lower t =
+  let covers = Hashtbl.create 32 in
+  let cover_of gate =
+    let name = gate.G.cell.Cell.Cells.name in
+    match Hashtbl.find_opt covers name with
+    | Some cubes -> cubes
+    | None ->
+        let cubes = T.isop (Cell.Cells.tt gate.G.cell) in
+        Hashtbl.replace covers name cubes;
+        cubes
+  in
+  let literals c cube =
+    List.concat
+      (List.mapi
+         (fun pin net ->
+           let row = (net * chunk_words) lsl 1 in
+           if (cube.T.pos lsr pin) land 1 = 1 then [ row ]
+           else if (cube.T.neg lsr pin) land 1 = 1 then [ row lor 1 ]
+           else [])
+         (Array.to_list c.inputs))
+  in
+  let cells = Array.map (fun c -> List.map (literals c) (cover_of c.gate)) t.cells in
+  let cubes = Array.of_list (List.concat (Array.to_list cells)) in
+  (* [first.(i)] is where element i's items start in the flattened array. *)
+  let offsets lengths =
+    let first = Array.make (Array.length lengths + 1) 0 in
+    Array.iteri (fun i n -> first.(i + 1) <- first.(i) + n) lengths;
+    first
+  in
+  {
+    out_rows = Array.map (fun c -> c.output * chunk_words) t.cells;
+    cell_first = offsets (Array.map List.length cells);
+    cube_first = offsets (Array.map List.length cubes);
+    lits = Array.of_list (List.concat (Array.to_list cubes));
+  }
+
+(* Evaluates every cell on the first [words] columns of the scratch, in
+   topological order; input rows must already hold the stimulus. Columns
+   are independent, so any chunking of the pattern axis yields the same
+   bits. *)
+let eval p (buf : rows) ~words =
+  let cell_first = p.cell_first and cube_first = p.cube_first and lits = p.lits in
+  for c = 0 to Array.length p.out_rows - 1 do
+    let out = p.out_rows.(c) in
+    let k0 = cell_first.(c) and k1 = cell_first.(c + 1) in
+    for w = 0 to words - 1 do
+      let acc = ref 0L in
+      for k = k0 to k1 - 1 do
+        let prod = ref (-1L) in
+        for l = Array.unsafe_get cube_first k to Array.unsafe_get cube_first (k + 1) - 1 do
+          let lit = Array.unsafe_get lits l in
+          let v = A1.unsafe_get buf ((lit lsr 1) + w) in
+          prod := Int64.logand !prod (Int64.logxor v (Int64.of_int (-(lit land 1))))
+        done;
+        acc := Int64.logor !acc !prod
+      done;
+      A1.unsafe_set buf (out + w) !acc
+    done
+  done
+
+(* A worker's scratch: one [chunk_words] row per net. Constant nets are
+   written once; the kernel only ever writes cell-output rows. *)
+let scratch t : rows =
+  let buf = A1.create Bigarray.int64 Bigarray.c_layout (t.num_nets * chunk_words) in
+  A1.fill buf 0L;
+  Array.iter
+    (fun (net, b) -> if b then A1.fill (A1.sub buf (net * chunk_words) chunk_words) (-1L))
+    t.const_nets;
+  buf
+
+(* Calls [f ~w0 ~words] on consecutive chunks covering [lo, lo + len). *)
+let iter_chunks ~lo ~len f =
+  let w0 = ref lo in
+  while !w0 < lo + len do
+    let words = min chunk_words (lo + len - !w0) in
+    f ~w0:!w0 ~words;
+    w0 := !w0 + words
+  done
+
+(* Shards [nwords] words of the pattern axis across domains. Each worker
+   builds its state with [init] once, on the first range it pulls, and
+   runs [piece st ~lo ~len] on every range; the per-worker states come
+   back for the caller to reduce. Records the simulator telemetry shared
+   by every entry point. *)
+let sweep ?domains t p ~npat ~nwords ~init piece =
+  let module Tm = Runtime.Telemetry in
+  let states = Array.make Runtime.Dpool.max_domains None in
+  let cubes = Array.length p.cube_first - 1 in
+  let stats =
+    Runtime.Dpool.run ?domains ~units:nwords (fun ~worker ~lo ~len ->
+        let st =
+          match states.(worker) with
+          | Some st -> st
+          | None ->
+              let st = init () in
+              states.(worker) <- Some st;
+              st
+        in
+        piece st ~lo ~len;
+        if Tm.enabled () then begin
+          Tm.count "mapped.sim.cube_words" (cubes * len);
+          Tm.count
+            (Printf.sprintf "sim.d%d.patterns_simulated" worker)
+            (max 0 (min ((lo + len) * 64) npat - (lo * 64)))
+        end)
+  in
+  Tm.count "mapped.sim.cells" (Array.length t.cells);
+  Tm.observe "sim.domains" (float_of_int stats.Runtime.Dpool.domains_used);
+  if stats.Runtime.Dpool.domains_used > 1 then
+    Tm.observe "sim.parallel_speedup" (Runtime.Dpool.parallel_speedup stats);
+  List.filter_map Fun.id (Array.to_list states)
+
 let simulate ?domains t stimulus =
   assert (Array.length stimulus = Array.length t.pi_nets);
   let npat = if Array.length stimulus = 0 then 0 else B.length stimulus.(0) in
@@ -63,70 +203,145 @@ let simulate ?domains t stimulus =
   Array.iter
     (fun (net, b) -> if b then values.(net) <- B.lognot (B.create npat))
     t.const_nets;
-  (* Preallocate every cell output, then lower the topo-ordered cells to
-     (cover, fanin words, output words) triples so the kernel below is
-     raw word loops — covers cached per gate name. The word axis shards
-     across domains: word-level ops are word-local, so any domain count
-     produces bit-identical values. *)
   Array.iter (fun c -> values.(c.output) <- B.create npat) t.cells;
-  let cover_cache = Hashtbl.create 32 in
-  let cover_of gate =
-    let name = gate.G.cell.Cell.Cells.name in
-    match Hashtbl.find_opt cover_cache name with
-    | Some cubes -> cubes
-    | None ->
-        let cubes = Array.of_list (T.isop (Cell.Cells.tt gate.G.cell)) in
-        Hashtbl.replace cover_cache name cubes;
-        cubes
+  let p = lower t in
+  let copy_in (buf : rows) ~w0 ~words =
+    Array.iteri
+      (fun i (_, net) ->
+        let src = B.words stimulus.(i) and row = net * chunk_words in
+        for j = 0 to words - 1 do
+          A1.unsafe_set buf (row + j) src.(w0 + j)
+        done)
+      t.pi_nets
   in
-  let kernels =
-    Array.map
+  let copy_out (buf : rows) ~w0 ~words =
+    Array.iter
       (fun c ->
-        ( cover_of c.gate,
-          Array.map (fun net -> B.words values.(net)) c.inputs,
-          B.words values.(c.output) ))
+        let dst = B.words values.(c.output) and row = c.output * chunk_words in
+        for j = 0 to words - 1 do
+          dst.(w0 + j) <- A1.unsafe_get buf (row + j)
+        done)
       t.cells
   in
-  let nwords = max 1 ((npat + 63) / 64) in
-  let cubes_per_word =
-    Array.fold_left (fun acc (cubes, _, _) -> acc + Array.length cubes) 0 kernels
-  in
-  let stats =
-    Runtime.Dpool.run ?domains ~units:nwords (fun ~worker ~lo ~len ->
-        let hi = lo + len - 1 in
-        Array.iter
-          (fun (cubes, pin_words, out_words) ->
-            let ncubes = Array.length cubes and pins = Array.length pin_words in
-            for w = lo to hi do
-              let acc = ref 0L in
-              for ci = 0 to ncubes - 1 do
-                let cube = cubes.(ci) in
-                let prod = ref (-1L) in
-                for pin = 0 to pins - 1 do
-                  if (cube.T.pos lsr pin) land 1 = 1 then
-                    prod := Int64.logand !prod pin_words.(pin).(w)
-                  else if (cube.T.neg lsr pin) land 1 = 1 then
-                    prod := Int64.logand !prod (Int64.lognot pin_words.(pin).(w))
-                done;
-                acc := Int64.logor !acc !prod
-              done;
-              out_words.(w) <- !acc
-            done)
-          kernels;
-        if Runtime.Telemetry.enabled () then begin
-          Runtime.Telemetry.count "mapped.sim.cube_words" (cubes_per_word * len);
-          Runtime.Telemetry.count
-            (Printf.sprintf "sim.d%d.patterns_simulated" worker)
-            (max 0 (min ((lo + len) * 64) npat - (lo * 64)))
-        end)
-  in
+  ignore
+    (sweep ?domains t p ~npat ~nwords:((npat + 63) / 64) ~init:(fun () -> scratch t)
+       (fun buf ~lo ~len ->
+         iter_chunks ~lo ~len (fun ~w0 ~words ->
+             copy_in buf ~w0 ~words;
+             eval p buf ~words;
+             copy_out buf ~w0 ~words)));
   (* Clamp tails beyond npat (inputs are clean, but all-neg cubes and the
      constant -1 product can set tail bits). *)
   Array.iter (fun c -> B.clamp values.(c.output)) t.cells;
-  Runtime.Telemetry.count "mapped.sim.cells" (Array.length t.cells);
-  Runtime.Telemetry.observe "sim.domains"
-    (float_of_int stats.Runtime.Dpool.domains_used);
   values
+
+type activity = { ones : int array; toggles : int array }
+
+(* Per-worker accumulators of the streaming sweep. [carry] is each net's
+   last simulated bit; [masks] holds, per column of the current chunk,
+   the bits that are real patterns and (second half) the bits that have
+   a predecessor pattern. *)
+type counter = {
+  buf : rows;
+  masks : rows;
+  c_ones : int array;
+  c_toggles : int array;
+  carry : int array;
+}
+
+(* Bitvec's SWAR popcount, repeated here so it inlines into [count]
+   without boxing. *)
+let[@inline] popcount x =
+  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    Int64.add
+      (Int64.logand x 0x3333333333333333L)
+      (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
+
+(* Adds the ones and toggles of the chunk in the scratch to the
+   counter. Bit i of [d] compares pattern 64w+i with its predecessor,
+   which for i = 0 is the previous word's top bit. *)
+let count st ~nets ~words =
+  let buf = st.buf and masks = st.masks in
+  for net = 0 to nets - 1 do
+    let row = net * chunk_words in
+    let ones = ref 0 and toggles = ref 0 in
+    let prev = ref (Int64.of_int st.carry.(net)) in
+    for j = 0 to words - 1 do
+      let x = A1.unsafe_get buf (row + j) in
+      let d = Int64.logxor x (Int64.logor (Int64.shift_left x 1) !prev) in
+      ones := !ones + popcount (Int64.logand x (A1.unsafe_get masks j));
+      toggles := !toggles + popcount (Int64.logand d (A1.unsafe_get masks (chunk_words + j)));
+      prev := Int64.shift_right_logical x 63
+    done;
+    st.c_ones.(net) <- st.c_ones.(net) + !ones;
+    st.c_toggles.(net) <- st.c_toggles.(net) + !toggles;
+    st.carry.(net) <- Int64.to_int !prev
+  done
+
+let activity ?domains ?(seed = 42L) t ~patterns =
+  let p = lower t in
+  let nets = t.num_nets in
+  let nwords = (patterns + 63) / 64 in
+  (* Input i's word w is draw i * wpv + w of one generator, exactly as
+     [Nets.Sim.random_stimulus] fills its vectors. *)
+  let wpv = max 1 nwords in
+  let tail = B.tail_mask patterns in
+  let stimulate (buf : rows) ~w0 ~words =
+    Array.iteri
+      (fun i (_, net) ->
+        let rng = Logic.Prng.create seed in
+        Logic.Prng.jump rng ((i * wpv) + w0);
+        let row = net * chunk_words in
+        for j = 0 to words - 1 do
+          A1.unsafe_set buf (row + j) (Logic.Prng.next64 rng)
+        done)
+      t.pi_nets;
+    eval p buf ~words
+  in
+  let init () =
+    {
+      buf = scratch t;
+      masks = A1.create Bigarray.int64 Bigarray.c_layout (2 * chunk_words);
+      c_ones = Array.make nets 0;
+      c_toggles = Array.make nets 0;
+      carry = Array.make nets 0;
+    }
+  in
+  let counters =
+    sweep ?domains t p ~npat:patterns ~nwords ~init (fun st ~lo ~len ->
+        (* A range that starts mid-sweep first simulates the word before
+           it, so the toggle across the seam is counted exactly once. *)
+        if lo > 0 then begin
+          stimulate st.buf ~w0:(lo - 1) ~words:1;
+          for net = 0 to nets - 1 do
+            st.carry.(net) <-
+              Int64.to_int
+                (Int64.shift_right_logical (A1.unsafe_get st.buf (net * chunk_words)) 63)
+          done
+        end;
+        iter_chunks ~lo ~len (fun ~w0 ~words ->
+            for j = 0 to words - 1 do
+              let w = w0 + j in
+              let valid = if w = nwords - 1 then tail else -1L in
+              A1.unsafe_set st.masks j valid;
+              A1.unsafe_set st.masks (chunk_words + j)
+                (if w = 0 then Int64.logand valid (-2L) else valid)
+            done;
+            stimulate st.buf ~w0 ~words;
+            count st ~nets ~words))
+  in
+  let sum field =
+    let total = Array.make nets 0 in
+    List.iter
+      (fun st -> Array.iteri (fun net v -> total.(net) <- total.(net) + v) (field st))
+      counters;
+    total
+  in
+  { ones = sum (fun st -> st.c_ones); toggles = sum (fun st -> st.c_toggles) }
 
 let check ?domains t reference ~patterns ~seed =
   let module N = Nets.Netlist in
@@ -136,41 +351,30 @@ let check ?domains t reference ~patterns ~seed =
       ~patterns ()
   in
   (* Align reference inputs by name. *)
-  let ref_inputs = N.inputs reference in
-  let by_name =
-    Array.to_list (Array.map (fun id -> (N.input_name reference id, id)) ref_inputs)
+  let first_by_name pairs =
+    let tbl = Hashtbl.create (Array.length pairs) in
+    Array.iter (fun (name, v) -> if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name v) pairs;
+    tbl
   in
+  let pi_index = first_by_name (Array.mapi (fun i (name, _) -> (name, i)) t.pi_nets) in
   let ref_stimulus =
     Array.map
       (fun id ->
         let name = N.input_name reference id in
-        match Array.to_list t.pi_nets |> List.assoc_opt name with
-        | Some _ ->
-            let idx =
-              let rec find i = if fst t.pi_nets.(i) = name then i else find (i + 1) in
-              find 0
-            in
-            stimulus.(idx)
+        match Hashtbl.find_opt pi_index name with
+        | Some i -> stimulus.(i)
         | None ->
             Runtime.Cnt_error.failf
               ~context:[ ("net", name) ]
               Runtime.Cnt_error.Techmap Runtime.Cnt_error.Missing_signal
               "Mapped.check: unknown PI %s" name)
-      ref_inputs
+      (N.inputs reference)
   in
-  ignore by_name;
   let ref_result = Sim.run ?domains reference ref_stimulus in
-  let ref_outs = Sim.output_values reference ref_result in
+  let ref_outs = first_by_name (Sim.output_values reference ref_result) in
   let values = simulate ?domains t stimulus in
   Array.for_all
-    (fun (name, net) ->
-      let ref_v =
-        let rec find i =
-          if fst ref_outs.(i) = name then snd ref_outs.(i) else find (i + 1)
-        in
-        find 0
-      in
-      B.equal values.(net) ref_v)
+    (fun (name, net) -> B.equal values.(net) (Hashtbl.find ref_outs name))
     t.po_nets
 
 let pp_stats ppf t =

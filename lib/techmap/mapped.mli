@@ -41,10 +41,31 @@ val gate_histogram : t -> (string * int) list
 (** Cell usage count by gate name, descending. *)
 
 val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** Per-net values given one stimulus vector per primary input. The
-    pattern axis shards across domains ({!Runtime.Dpool}, word-aligned
-    chunks); results are bit-identical for any [?domains] (default
-    {!Runtime.Dpool.default_domains}). *)
+(** Per-net values given one stimulus vector per primary input. Runs the
+    same lowered cube kernel as {!activity}, then copies every net's full
+    vector out, so memory grows with the pattern count; use it where the
+    values themselves are needed (co-simulation, sequential stepping).
+    The pattern axis shards across domains ({!Runtime.Dpool},
+    word-aligned chunks); results are bit-identical for any [?domains]
+    (default {!Runtime.Dpool.default_domains}). *)
+
+type activity = {
+  ones : int array;  (** per net: patterns on which the net is 1 *)
+  toggles : int array;
+      (** per net: consecutive pattern pairs on which the net changes *)
+}
+
+val activity : ?domains:int -> ?seed:int64 -> t -> patterns:int -> activity
+(** Streaming switching-activity sweep over [patterns] uniform random
+    patterns: the stimulus is bit-identical to
+    [Nets.Sim.random_stimulus ~seed] (default [42L]), and [ones.(n)] and
+    [toggles.(n)] equal [Bitvec.popcount] and [Bitvec.transitions] of net
+    [n]'s vector under {!simulate}. No vector is materialized: each
+    domain evaluates fixed 4096-pattern chunks in an off-heap scratch of
+    [num_nets] × 512 B, generates each chunk's stimulus with
+    {!Logic.Prng.jump}, and keeps integer counts, so memory is bounded by
+    the netlist size alone and the counts are identical for any
+    [?domains]. *)
 
 val check :
   ?domains:int -> t -> Nets.Netlist.t -> patterns:int -> seed:int64 -> bool

@@ -139,6 +139,21 @@ let pool_merges_worker_telemetry () =
     "counts from every domain merged" (Some 100)
     (T.find_counter prof "test.pool.units")
 
+let pool_reports_busy_time () =
+  let seq = D.run ~domains:1 ~units:10 (fun ~worker:_ ~lo:_ ~len:_ -> ()) in
+  Alcotest.(check (float 0.0)) "sequential speedup" 1.0 (D.parallel_speedup seq);
+  let par =
+    D.run ~domains:2 ~min_units_per_domain:1 ~units:8 (fun ~worker:_ ~lo:_ ~len:_ ->
+        Unix.sleepf 0.005)
+  in
+  Alcotest.(check int) "one busy entry per worker" par.D.domains_used
+    (Array.length par.D.busy_s);
+  let s = D.parallel_speedup par in
+  Alcotest.(check bool)
+    (Printf.sprintf "speedup %.3f within (0, domains]" s)
+    true
+    (s > 0.0 && s <= float_of_int par.D.domains_used)
+
 (* --- Prng.jump ----------------------------------------------------- *)
 
 let jump_matches_sequential () =
@@ -291,6 +306,7 @@ let () =
           tc "exception propagates" `Quick pool_propagates_exception;
           tc "default resolution" `Quick pool_default_respects_env;
           tc "worker telemetry merged" `Quick pool_merges_worker_telemetry;
+          tc "busy time gives the speedup" `Quick pool_reports_busy_time;
         ] );
       ( "prng",
         [
