@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- table1 micro
      dune exec bench/main.exe -- quick table1   # E1 with fewer patterns
      dune exec bench/main.exe -- domains=4 profile
-     dune exec bench/main.exe -- no-cache micro # cold-cache kernels
      dune exec bench/main.exe -- label=change table1-json
 
    One Bechamel test per paper table/figure measures the kernel that
@@ -105,19 +104,12 @@ let micro_tests () =
   in
   let matchlib_per_family =
     (* The real table construction per logic family — built-ins plus any
-       registered data file (the PTL family when run from the repo root) —
-       cold (cache bypassed) and Diskcache-warm (the first warm iteration
-       publishes the artifact, the rest load it). *)
-    List.concat_map
+       registered data file (the PTL family when run from the repo root). *)
+    List.map
       (fun lib ->
-        let name = lib.Cell.Genlib.name in
-        [
-          Test.make ~name:(Printf.sprintf "matchlib-build-%s-cold" name)
-            (Staged.stage (fun () ->
-                 ignore (Techmap.Matchlib.build ~cache:false lib)));
-          Test.make ~name:(Printf.sprintf "matchlib-build-%s-warm" name)
-            (Staged.stage (fun () -> ignore (Techmap.Matchlib.build lib)));
-        ])
+        Test.make
+          ~name:(Printf.sprintf "matchlib-build-%s" lib.Cell.Genlib.name)
+          (Staged.stage (fun () -> ignore (Techmap.Matchlib.build lib))))
       (Cell.Genlib.libraries ())
   in
   let sim_seq_vs_par =
@@ -171,7 +163,7 @@ let micro_tests () =
                Runtime.Telemetry.with_span "bench.span" (fun () ->
                    Runtime.Telemetry.count "bench.counter" 1;
                    Runtime.Telemetry.observe "bench.dist" 1.0);
-               Runtime.Journal.emit Runtime.Journal.Cache_hit [])))
+               Runtime.Journal.emit Runtime.Journal.Request_done [])))
   in
   let metrics_snapshot =
     (* What the daemon pays to answer the `metrics` verb inline (and the
@@ -188,10 +180,11 @@ let micro_tests () =
              (Runtime.Metrics.make ~source:"bench" ~started ~gauges ~counters
                 ())))
   in
-  [ classify; dc_solve; resyn; mapping; simulate ]
+  (* The fork round-trip runs first: once a parallel kernel has spawned a
+     domain, the supervisor refuses to fork. *)
+  [ supervise; classify; dc_solve; resyn; mapping; simulate ]
   @ matchlib_per_family @ sim_seq_vs_par
-  @ [ supervise; telemetry_disabled; telemetry_disabled_traced;
-      metrics_snapshot ]
+  @ [ telemetry_disabled; telemetry_disabled_traced; metrics_snapshot ]
 
 let run_micro () =
   Format.printf "@.#### Microbenchmarks (bechamel) ####@.";
@@ -220,23 +213,14 @@ let run_profile () =
   Format.printf
     "@.#### Telemetry profile (synth -> map -> estimate, mult8) ####@.";
   let module T = Runtime.Telemetry in
-  (* Prime the persistent caches (unless no-cache) so the committed
-     profile reflects the steady state: techmap.matchlib.build is a warm
-     artifact load, not the one-off 0.8 s construction. *)
-  if Runtime.Diskcache.enabled () then
-    ignore (Techmap.Matchlib.build Cell.Genlib.generalized_cntfet);
   T.set_enabled true;
   T.reset ();
-  (* Per-family match-table construction, cold and Diskcache-warm, so the
-     committed profile tracks what a new family (e.g. the PTL data file)
-     costs to bring up versus load back. *)
+  (* Per-family match-table construction, so the committed profile tracks
+     what each family (e.g. the PTL data file) costs to bring up. *)
   T.with_span "bench.matchlib_families" (fun () ->
       List.iter
         (fun lib ->
-          let name = lib.Cell.Genlib.name in
-          T.with_span (Printf.sprintf "%s.cold" name) (fun () ->
-              ignore (Techmap.Matchlib.build ~cache:false lib));
-          T.with_span (Printf.sprintf "%s.warm" name) (fun () ->
+          T.with_span lib.Cell.Genlib.name (fun () ->
               ignore (Techmap.Matchlib.build lib)))
         (Cell.Genlib.libraries ()));
   T.with_span "bench.pipeline" (fun () ->
@@ -447,8 +431,7 @@ let run_serve_roundtrip () =
         let req =
           Ck.Obj [ ("verb", Ck.Str "estimate"); ("blif", Ck.Str serve_blif) ]
         in
-        (* Two throwaway calls publish the matchlib/leakage artifacts so
-           the measured requests all run against a warm disk cache. *)
+        (* Two throwaway calls warm the daemon up before measuring. *)
         for _ = 1 to 2 do
           ignore (Sv.call ~socket_path:sock req)
         done;
@@ -515,10 +498,6 @@ let () =
       (fun a ->
         if a = "quick" then begin
           quick := true;
-          false
-        end
-        else if a = "no-cache" then begin
-          Runtime.Diskcache.set_enabled false;
           false
         end
         else if String.starts_with ~prefix:"label=" a then begin

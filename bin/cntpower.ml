@@ -72,10 +72,10 @@ let validate_domains = function
           R.Cli R.Validation_error "--domains must be in [1, %d] (got %d)"
           Runtime.Dpool.max_domains d
 
-(* Shared by the pipeline commands: pin the simulation domain count and
-   switch the persistent artifact caches. Results are bit-identical for
-   any domain count; --domains only moves wall clock. *)
-let apply_runtime_opts ~domains ~no_cache =
+(* Shared by the pipeline commands: pin the simulation domain count.
+   Results are bit-identical for any domain count; --domains only moves
+   wall clock. *)
+let apply_runtime_opts ~domains =
   validate_domains domains;
   (* CNTPOWER_DOMAINS gets the same scrutiny as --domains: when the
      environment would actually be consulted (no explicit --domains),
@@ -91,9 +91,7 @@ let apply_runtime_opts ~domains ~no_cache =
           ]
         R.Cli R.Validation_error "%s" msg
   | _ -> ());
-  Runtime.Dpool.set_default domains;
-  if no_cache then Runtime.Diskcache.set_enabled false
-  else Power.Leakage.set_persistent true
+  Runtime.Dpool.set_default domains
 
 let domains_arg =
   let doc =
@@ -102,13 +100,6 @@ let domains_arg =
      are bit-identical for any value."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let no_cache_arg =
-  let doc =
-    "Bypass the persistent _cache/ artifacts (match tables, leakage \
-     solves): rebuild everything from scratch and write nothing."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 let find_circuit name =
   match
@@ -256,10 +247,10 @@ let ablations_cmd =
    (unknown circuit, malformed generator output, mapping dead-end) is
    reported as a typed error and exits with its per-class code, exactly
    like the other subcommands. *)
-let run_synth circuit libfiles patterns seed domains no_cache =
+let run_synth circuit libfiles patterns seed domains =
   validate_patterns patterns;
   validate_seed seed;
-  apply_runtime_opts ~domains ~no_cache;
+  apply_runtime_opts ~domains;
   load_library_files libfiles;
   let body () =
     let entry = find_circuit circuit in
@@ -302,7 +293,7 @@ let synth_cmd =
        ~doc:"Synthesize and map one benchmark with every library, with details.")
     Term.(
       const run_synth $ circuit_arg $ library_file_arg $ patterns_arg
-      $ seed_arg $ domains_arg $ no_cache_arg)
+      $ seed_arg $ domains_arg)
 
 let genlib_cmd =
   let run libfiles =
@@ -478,13 +469,13 @@ let all_cmd =
     Arg.(value & opt_all string [] & info [ "inject-flaky" ] ~docv:"NAME" ~doc)
   in
   let run libfiles patterns seed mode only with_blifs timeout retries
-      no_supervise resume run_name profile log_level domains no_cache
-      inj_crash inj_hang inj_flaky =
+      no_supervise resume run_name profile log_level domains inj_crash
+      inj_hang inj_flaky =
     validate_patterns patterns;
     validate_seed seed;
     validate_timeout timeout;
     validate_retries retries;
-    apply_runtime_opts ~domains ~no_cache;
+    apply_runtime_opts ~domains;
     (* Before the harness starts: experiment workers fork from this
        process, so registrations are inherited by every experiment. *)
     load_library_files libfiles;
@@ -622,7 +613,6 @@ let all_cmd =
           ("supervised", string_of_bool (not no_supervise));
           ("profile", string_of_bool profile);
           ("domains", string_of_int (Runtime.Dpool.default_domains ()));
-          ("cache", string_of_bool (Runtime.Diskcache.enabled ()));
           ("experiments", string_of_int (List.length entries));
         ];
       let summary = Experiments.Harness.run_all ~config std entries in
@@ -675,8 +665,8 @@ let all_cmd =
       const run $ library_file_arg $ patterns_arg $ seed_arg $ mode_arg
       $ only_arg $ with_blif_arg $ timeout_arg $ retries_arg
       $ no_supervise_arg $ resume_arg $ run_name_arg $ profile_arg
-      $ log_level_arg $ domains_arg $ no_cache_arg $ inject_crash_arg
-      $ inject_hang_arg $ inject_flaky_arg)
+      $ log_level_arg $ domains_arg $ inject_crash_arg $ inject_hang_arg
+      $ inject_flaky_arg)
 
 (* ------------------------------------------------------------------ *)
 (* `campaign`: the durable (circuit × library × seed) sweep runner.    *)
@@ -769,8 +759,8 @@ let campaign_cmd =
       & info [ "inject-kill-after" ] ~docv:"N" ~doc)
   in
   let run run_name only libs libfiles seeds_n patterns seed workers
-      shard_timeout max_attempts resume log_level domains no_cache inj_crash
-      inj_flaky inj_hang kill_after =
+      shard_timeout max_attempts resume log_level domains inj_crash inj_flaky
+      inj_hang kill_after =
     validate_patterns patterns;
     validate_seed seed;
     validate_timeout shard_timeout;
@@ -794,7 +784,7 @@ let campaign_cmd =
         R.failf R.Cli R.Validation_error
           "--inject-kill-after must be >= 1 (got %d)" n
     | _ -> ());
-    apply_runtime_opts ~domains ~no_cache;
+    apply_runtime_opts ~domains;
     load_library_files libfiles;
     Jn.set_verbosity log_level;
     let circuits =
@@ -879,7 +869,7 @@ let campaign_cmd =
       const run $ run_name_arg $ only_arg $ library_arg $ library_file_arg
       $ seeds_arg $ patterns_arg $ seed_arg $ workers_arg $ shard_timeout_arg
       $ max_attempts_arg $ resume_arg $ log_level_arg $ domains_arg
-      $ no_cache_arg $ inject_crash_arg $ inject_flaky_arg $ inject_hang_arg
+      $ inject_crash_arg $ inject_flaky_arg $ inject_hang_arg
       $ inject_kill_after_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1608,7 +1598,7 @@ let serve_cmd =
   in
   let run socket libfiles workers queue max_bytes deadline drain breaker
       window allow_inject run_name journal_max_bytes journal_keep log_level
-      domains no_cache =
+      domains =
     validate_timeout deadline;
     validate_timeout drain;
     validate_timeout window;
@@ -1622,7 +1612,7 @@ let serve_cmd =
         ~context:[ ("journal-keep", string_of_int journal_keep) ]
         R.Cli R.Validation_error "--journal-keep must be in [1, 1000] (got %d)"
         journal_keep;
-    apply_runtime_opts ~domains ~no_cache;
+    apply_runtime_opts ~domains;
     (* Before the daemon binds: request admission resolves library names
        against the registry, and estimation workers fork from here. *)
     load_library_files libfiles;
@@ -1712,7 +1702,7 @@ let serve_cmd =
       $ max_bytes_arg $ deadline_arg $ drain_arg $ breaker_arg
       $ breaker_window_arg $ allow_inject_arg $ run_name_arg
       $ journal_max_bytes_arg $ journal_keep_arg $ log_level_arg
-      $ domains_arg $ no_cache_arg)
+      $ domains_arg)
 
 let request_cmd =
   let file_arg =

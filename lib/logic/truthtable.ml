@@ -114,20 +114,65 @@ let of_bits n values =
 
 let rebuild n f = of_bits n (Array.init (1 lsl n) f)
 
+(* Exchange variables [i <> j] (both < 6) within one word: minterms with
+   x_i = 1, x_j = 0 trade places with those with x_i = 0, x_j = 1, which
+   sit [2^j - 2^i] bits higher (for i < j). *)
+let word_swap w i j =
+  let i, j = if i < j then (i, j) else (j, i) in
+  let d = (1 lsl j) - (1 lsl i) in
+  let lo = Int64.logand var_pattern.(i) (Int64.lognot var_pattern.(j)) in
+  let hi = Int64.shift_left lo d in
+  Int64.logor
+    (Int64.logand w (Int64.lognot (Int64.logor lo hi)))
+    (Int64.logor
+       (Int64.shift_left (Int64.logand w lo) d)
+       (Int64.shift_right_logical (Int64.logand w hi) d))
+
+(* Negate variable [i < 6] within one word: swap the halves it selects. *)
+let word_flip w i =
+  let s = 1 lsl i in
+  Int64.logor
+    (Int64.shift_right_logical (Int64.logand w var_pattern.(i)) s)
+    (Int64.logand (Int64.shift_left w s) var_pattern.(i))
+
 let permute t p =
   assert (Array.length p = t.n);
-  let remap m =
-    let m' = ref 0 in
-    for i = 0 to t.n - 1 do
-      if (m lsr p.(i)) land 1 = 1 then m' := !m' lor (1 lsl i)
+  if t.n <= 6 then begin
+    (* Realize [p] as transpositions: [pos.(v)] is where original variable
+       [v] currently sits, [at.(q)] which original variable sits at [q]. *)
+    let pos = Array.init t.n Fun.id and at = Array.init t.n Fun.id in
+    let w = ref t.data.(0) in
+    for v = 0 to t.n - 1 do
+      let q = p.(v) and cur = pos.(v) in
+      if q <> cur then begin
+        w := word_swap !w cur q;
+        let u = at.(q) in
+        at.(cur) <- u;
+        pos.(u) <- cur;
+        at.(q) <- v;
+        pos.(v) <- q
+      end
     done;
-    !m'
-  in
-  rebuild t.n (fun m -> eval t (remap m))
+    { n = t.n; data = [| !w |] }
+  end
+  else begin
+    let remap m =
+      let m' = ref 0 in
+      for i = 0 to t.n - 1 do
+        if (m lsr p.(i)) land 1 = 1 then m' := !m' lor (1 lsl i)
+      done;
+      !m'
+    in
+    rebuild t.n (fun m -> eval t (remap m))
+  end
 
 let flip_input t i =
   assert (i >= 0 && i < t.n);
-  rebuild t.n (fun m -> eval t (m lxor (1 lsl i)))
+  if i < 6 then { n = t.n; data = Array.map (fun w -> word_flip w i) t.data }
+  else begin
+    let stride = 1 lsl (i - 6) in
+    { n = t.n; data = Array.init (Array.length t.data) (fun w -> t.data.(w lxor stride)) }
+  end
 
 let shrink t =
   let sup = Array.of_list (support t) in

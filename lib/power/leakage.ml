@@ -23,55 +23,10 @@ let cache : (key, float) Hashtbl.t = Hashtbl.create 64
 let hits = ref 0
 let misses = ref 0
 
-(* Persistent layer: the whole table marshals to one Diskcache artifact.
-   Off by default so measurements of solver work (exp_patterns' golden
-   dc_solves) stay cold; the CLI turns it on for pipeline runs. *)
-let solver_version = 2
-let persistent_flag = ref false
-let loaded = ref false
-let dirty = ref false
-
-let disk_digest () =
-  Runtime.Diskcache.digest
-    [ "leakage"; string_of_int solver_version; Sys.ocaml_version ]
-
-let flush () =
-  if !persistent_flag && !dirty then begin
-    dirty := false;
-    let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache [] in
-    let entries = List.sort compare entries in
-    Runtime.Diskcache.store ~name:"leakage" ~digest:(disk_digest ()) entries
-  end
-
-let at_exit_registered = ref false
-
-let set_persistent b =
-  persistent_flag := b;
-  if b && not !at_exit_registered then begin
-    at_exit_registered := true;
-    at_exit flush
-  end
-
-let persistent () = !persistent_flag
-
-let load_if_needed () =
-  if !persistent_flag && not !loaded then begin
-    loaded := true;
-    match Runtime.Diskcache.load ~name:"leakage" ~digest:(disk_digest ()) with
-    | None -> ()
-    | Some (entries : (key * float) list) ->
-        List.iter
-          (fun (k, v) ->
-            if not (Hashtbl.mem cache k) then Hashtbl.replace cache k v)
-          entries
-  end
-
 let clear_cache () =
   Hashtbl.reset cache;
   hits := 0;
-  misses := 0;
-  loaded := false;
-  dirty := false
+  misses := 0
 
 type stats = { entries : int; hits : int; misses : int }
 
@@ -119,7 +74,6 @@ let solve_pattern tech pattern =
       C.source_current c sol vdd
 
 let pattern_ioff tech pattern =
-  load_if_needed ();
   let key =
     {
       family = tech.T.family;
@@ -143,7 +97,6 @@ let pattern_ioff tech pattern =
       Runtime.Telemetry.count "leakage.dc_solves" 1;
       let i = solve_pattern tech pattern in
       Hashtbl.replace cache key i;
-      dirty := true;
       i
 
 let gate_ioff tech (gp : Pattern.gate_patterns) =

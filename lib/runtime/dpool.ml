@@ -50,6 +50,9 @@ let default_domains () =
           let n = recommended () in
           if n < 1 then 1 else if n > max_domains then max_domains else n)
 
+let spawned_once = Atomic.make false
+let has_spawned () = Atomic.get spawned_once
+
 type stats = {
   domains_used : int;
   chunks : int;
@@ -113,6 +116,7 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
        re-install it in each worker so journal events emitted from the
        parallel region stay correlated to the request that caused them. *)
     let ctx = Tracectx.current () in
+    Atomic.set spawned_once true;
     let spawned =
       Array.init (d - 1) (fun i ->
           Domain.spawn (fun () ->

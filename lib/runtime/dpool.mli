@@ -6,9 +6,12 @@
     construction), and {!run} partitions the index space into contiguous
     chunks that worker domains pull from a shared atomic cursor until the
     work is drained. Domains are spawned with stdlib [Domain.spawn] and
-    joined before {!run} returns — no domain outlives the call, so the
-    pool composes with the fork-based {!Supervisor} (never fork while
-    domains are alive; here none ever are across a fork point).
+    joined before {!run} returns — no domain outlives the call. That is
+    not enough to fork afterwards: on OCaml 5.1 [Unix.fork] fails once any
+    domain has ever been spawned, so the pool records its first spawn
+    ({!has_spawned}) and the fork-based {!Supervisor} refuses to fork after
+    it with a typed error. Fork first, then run parallel kernels in the
+    child.
 
     Telemetry recorded inside worker domains lands in their per-domain
     {!Telemetry} registries; the pool snapshots each one inside the
@@ -63,6 +66,9 @@ val parallel_speedup : stats -> float
     the run's wall time (Σ [busy_s] ÷ [wall_s]; 1 for a sequential run,
     up to [domains_used] when every worker was busy throughout). Needs no
     second, sequential run to compare against. *)
+
+val has_spawned : unit -> bool
+(** Whether this process has ever spawned a worker domain. *)
 
 val run :
   ?domains:int ->

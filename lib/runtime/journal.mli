@@ -37,9 +37,6 @@ type kind =
   | Checkpoint_written
   | Solver_damped_retry
   | Golden_drift
-  | Cache_hit  (** a persistent on-disk cache served an artifact *)
-  | Cache_miss  (** artifact absent or stale; recomputed *)
-  | Cache_write  (** artifact (re)written to [_cache/] *)
   | Server_started  (** [cntpower serve] bound its socket and is accepting *)
   | Server_draining
       (** the daemon stopped accepting and is finishing in-flight work

@@ -39,8 +39,8 @@
     {!Telemetry} ([serve.*] counters plus the [serve.request_wall_s]
     distribution), so [_runs/serve-<ts>/] artifacts work with
     [cntpower stats]/[trace]/[compare] unchanged. A ["health"] verb is
-    answered inline with uptime, queue depth, worker states and cache
-    warmth, and a ["metrics"] verb — also inline, ahead of shedding, so
+    answered inline with uptime, queue depth, worker states and
+    lifecycle counts, and a ["metrics"] verb — also inline, ahead of shedding, so
     it works under load and while draining — returns a {!Metrics}
     snapshot (request counts by verb and outcome, queue depth, in-flight
     workers, latency distributions, cache hit ratios).

@@ -16,6 +16,16 @@ let can_fork = not Sys.win32
 let retryable (e : E.t) =
   match e.E.code with E.Worker_timeout | E.Worker_killed -> true | _ -> false
 
+(* Checked before [Unix.pipe], so a refused fork leaks no descriptor. *)
+let fork_refused ~name =
+  if Dpool.has_spawned () then
+    Some
+      (E.make
+         ~context:[ ("worker", name) ]
+         E.Experiment E.Unsupported
+         "cannot fork a worker after this process spawned a domain")
+  else None
+
 (* The worker writes [Marshal.to_bytes result] on this pipe and exits 0.
    Anything else — truncated payload, nonzero exit, signal death — is an
    infrastructure failure, typed below. *)
@@ -200,6 +210,7 @@ type 'a async = {
 }
 
 let spawn_async ?telemetry_prefix ?(close_in_child = []) ~name f =
+  Option.iter E.raise_error (fork_refused ~name);
   flush_all_output ();
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
@@ -329,9 +340,11 @@ let run_inprocess ~degraded f =
 let run ?(policy = default_policy) ~name f =
   let t0 = Unix.gettimeofday () in
   let attempt ~degraded =
-    if can_fork then
-      run_forked ~timeout_s:policy.timeout_s ~name ~degraded f
-    else run_inprocess ~degraded f
+    if not can_fork then run_inprocess ~degraded f
+    else
+      match fork_refused ~name with
+      | Some e -> Result.Error e
+      | None -> run_forked ~timeout_s:policy.timeout_s ~name ~degraded f
   in
   let rec go n =
     let degraded = policy.degrade && n > 1 in

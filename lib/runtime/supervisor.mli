@@ -47,7 +47,11 @@ val run :
     exception escaping [f] becomes a typed error via
     {!Cnt_error.protect}; it is NOT retried — only [Worker_timeout] and
     [Worker_killed] are, since a deterministic in-job failure would just
-    fail again. *)
+    fail again.
+
+    Once this process has spawned a domain ({!Dpool.has_spawned}),
+    forking is refused: the outcome is a typed [Unsupported] error and
+    no worker or pipe is created. *)
 
 val retryable : Cnt_error.t -> bool
 (** [true] exactly for the [Worker_timeout] / [Worker_killed] codes. *)
@@ -76,7 +80,9 @@ val spawn_async :
 (** Fork a worker running [f ()]. [close_in_child] lists descriptors the
     child must not keep open (the server's listening socket and client
     connections — a long-running worker holding them would defeat EOF
-    detection and drain). Emits [worker_spawned] when the journal is on. *)
+    detection and drain). Emits [worker_spawned] when the journal is on.
+    Raises {!Cnt_error.Error} ([Unsupported]) without opening a pipe once
+    this process has spawned a domain, like {!run}. *)
 
 val async_pid : 'a async -> int
 

@@ -32,7 +32,8 @@ let candidate_delay c = c.gate.G.delay
 let insert t k key cand =
   let table = t.tables.(k) in
   let existing = Option.value ~default:[] (Hashtbl.find_opt table key) in
-  (* Skip exact duplicates of the same gate with same binding cost. *)
+  (* Dominance check: drop [cand] when an existing candidate is no larger
+     and no slower. *)
   let dominated =
     List.exists
       (fun c ->
@@ -62,22 +63,42 @@ let insert t k key cand =
     Hashtbl.replace table key kept
   end
 
-(* Bump when [t]'s layout (or the meaning of its contents) changes: the
-   version participates in the digest, so stale artifacts simply miss. *)
-let format_version = 1
-
-let digest_of lib =
-  Runtime.Diskcache.digest
-    [
-      "matchlib";
-      string_of_int format_version;
-      Sys.ocaml_version;
-      string_of_int max_pins;
-      (* The full marshalled library, not just its genlib text: derived
-         libraries ([G.with_tech]) change device parameters without
-         changing any gate function. *)
-      Marshal.to_string lib [];
-    ]
+(* Enumeration order is gate -> permutation -> polarity mask, so the first
+   binding that produces a (gate, function) pair is the one inserted. Two
+   shortcuts leave the tables unchanged: a permutation whose permuted word
+   the gate already produced has its whole polarity orbit offered already,
+   and offering a function twice from one gate is a no-op for [insert]
+   (the first copy, of equal area and delay, either dominates the second
+   or was itself dropped, and so would the second be). *)
+let add_gate t (gate : G.gate) =
+  let k = gate.G.cell.Cell.Cells.pins in
+  let base = Cell.Cells.tt gate.G.cell in
+  (* Support is invariant under renaming and negating inputs; cut
+     functions are shrunk to their support before lookup. *)
+  if k >= 1 && k <= max_pins && List.length (T.support base) = k then begin
+    let permuted = Hashtbl.create 64 and offered = Hashtbl.create 256 in
+    List.iter
+      (fun perm_list ->
+        let perm = Array.of_list perm_list in
+        let pw = T.permute base perm in
+        if not (Hashtbl.mem permuted (T.to_int64 pw)) then begin
+          Hashtbl.add permuted (T.to_int64 pw) ();
+          for inv_mask = 0 to (1 lsl k) - 1 do
+            (* Pin j is driven by leaf perm.(j) xor (inv_mask bit j). *)
+            let variant = ref pw in
+            for j = 0 to k - 1 do
+              if (inv_mask lsr j) land 1 = 1 then
+                variant := T.flip_input !variant perm.(j)
+            done;
+            let key = T.to_int64 !variant in
+            if not (Hashtbl.mem offered key) then begin
+              Hashtbl.add offered key ();
+              insert t k key { gate; perm; inv_mask }
+            end
+          done
+        end)
+      (permutations (List.init k Fun.id))
+  end
 
 let compute lib =
   let t =
@@ -88,39 +109,11 @@ let compute lib =
       entries = 0;
     }
   in
-  List.iter
-    (fun (gate : G.gate) ->
-      let k = gate.G.cell.Cell.Cells.pins in
-      if k >= 1 && k <= max_pins then begin
-        let base = Cell.Cells.tt gate.G.cell in
-        let perms = permutations (List.init k (fun i -> i)) in
-        List.iter
-          (fun perm_list ->
-            let perm = Array.of_list perm_list in
-            for inv_mask = 0 to (1 lsl k) - 1 do
-              (* Function computed when pin j is driven by
-                 leaf perm.(j) xor (inv_mask bit j). *)
-              let flipped = ref base in
-              for j = 0 to k - 1 do
-                if (inv_mask lsr j) land 1 = 1 then flipped := T.flip_input !flipped j
-              done;
-              let variant = T.permute !flipped perm in
-              (* Only index functions with full support: cut functions are
-                 shrunk to their support before lookup. *)
-              if List.length (T.support variant) = k then
-                insert t k (T.to_int64 variant) { gate; perm; inv_mask }
-            done)
-          perms
-      end)
-    lib.G.gates;
+  List.iter (add_gate t) lib.G.gates;
   t
 
-let build ?(cache = true) lib =
-  Runtime.Telemetry.with_span "techmap.matchlib.build" @@ fun () ->
-  if cache then
-    Runtime.Diskcache.with_cache ~name:"matchlib" ~digest:(digest_of lib)
-      (fun () -> compute lib)
-  else compute lib
+let build ?cache:_ lib =
+  Runtime.Telemetry.with_span "techmap.matchlib.build" (fun () -> compute lib)
 
 let lookup t tt =
   let k = T.nvars tt in

@@ -11,7 +11,7 @@ let tc = Alcotest.test_case
 
 let mapped_of nl =
   let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-  Techmap.Mapper.map (Techmap.Matchlib.build ~cache:false G.generalized_cntfet) aig
+  Techmap.Mapper.map (Techmap.Matchlib.build G.generalized_cntfet) aig
 
 let mult4 = lazy (mapped_of (Circuits.Multiplier.generate ~width:4))
 let mult8 = lazy (mapped_of (Circuits.Multiplier.generate ~width:8))

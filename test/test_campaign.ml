@@ -6,7 +6,6 @@
 module W = Runtime.Workqueue
 module E = Runtime.Cnt_error
 module C = Runtime.Checkpoint
-module DC = Runtime.Diskcache
 module Cg = Experiments.Campaign
 module G = Cell.Genlib
 
@@ -127,20 +126,7 @@ let test_cfg ~campaign ~runs_dir =
     backoff_max_s = 0.2;
   }
 
-(* Campaign workers rebuild the matchlib per fork; share it through a
-   throwaway disk cache so the suite stays fast. *)
-let with_campaign_env f =
-  let runs = temp_dir "campaign-runs" in
-  let cache = temp_dir "campaign-cache" in
-  let old_dir = DC.dir () in
-  let old_enabled = DC.enabled () in
-  DC.set_dir cache;
-  DC.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      DC.set_dir old_dir;
-      DC.set_enabled old_enabled)
-    (fun () -> f runs)
+let with_campaign_env f = f (temp_dir "campaign-runs")
 
 let done_records path shard =
   let records, _ = ok (W.load ~path) in

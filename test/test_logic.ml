@@ -156,6 +156,33 @@ let qcheck_tt_gen n =
   QCheck.Gen.(
     map (fun bits -> T.of_bits n (Array.of_list bits)) (list_size (return (1 lsl n)) bool))
 
+(* Per-minterm oracles for the word-level renaming and negation kernels. *)
+let oracle_flip t i =
+  let n = T.nvars t in
+  T.of_bits n (Array.init (1 lsl n) (fun m -> T.eval t (m lxor (1 lsl i))))
+
+let oracle_permute t p =
+  let n = T.nvars t in
+  T.of_bits n
+    (Array.init (1 lsl n) (fun m ->
+         let m' = ref 0 in
+         Array.iteri (fun i v -> if (m lsr v) land 1 = 1 then m' := !m' lor (1 lsl i)) p;
+         T.eval t !m'))
+
+let flip_matches_oracle n =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "flip_input = per-minterm oracle (n=%d)" n)
+    (QCheck.make QCheck.Gen.(pair (qcheck_tt_gen n) (int_bound (n - 1))))
+    (fun (f, i) -> T.equal (T.flip_input f i) (oracle_flip f i))
+
+let permute_matches_oracle n =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "permute = per-minterm oracle (n=%d)" n)
+    (QCheck.make
+       QCheck.Gen.(
+         pair (qcheck_tt_gen n) (map Array.of_list (shuffle_l (List.init n Fun.id)))))
+    (fun (f, p) -> T.equal (T.permute f p) (oracle_permute f p))
+
 let isop_covers_exactly n =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "isop covers exactly (n=%d)" n)
@@ -320,6 +347,11 @@ let () =
           Alcotest.test_case "flip input" `Quick tt_flip_input;
           Alcotest.test_case "int64 roundtrip / parity" `Quick tt_int64_roundtrip;
         ] );
+      ( "tt-kernels",
+        qt
+          (List.concat_map
+             (fun n -> [ flip_matches_oracle n; permute_matches_oracle n ])
+             [ 1; 2; 3; 4; 5; 6; 7; 8 ]) );
       ( "isop",
         qt
           [

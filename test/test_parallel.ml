@@ -217,7 +217,7 @@ let mapped_mult4 =
   lazy
     (let nl = Circuits.Multiplier.generate ~width:4 in
      let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-     let ml = Techmap.Matchlib.build ~cache:false Cell.Genlib.generalized_cntfet in
+     let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
      (nl, Techmap.Mapper.map ml aig))
 
 let mapped_simulate_deterministic_across_domains () =

@@ -134,6 +134,18 @@ let cache_saves_solves () =
   Alcotest.(check int) "two hits" 2 stats.L.hits;
   Alcotest.(check (float 1e-9)) "hit ratio" (2.0 /. 3.0) (L.hit_ratio stats)
 
+(* The table lives in memory only: after a clear, the same pattern is
+   solved again rather than reloaded, and nothing is written to disk. *)
+let stays_cold_after_clear () =
+  let p = P.Series [ P.Unit 3; P.Unit 1 ] in
+  L.clear_cache ();
+  let cold = L.pattern_ioff Spice.Tech.cntfet p in
+  L.clear_cache ();
+  let again = L.pattern_ioff Spice.Tech.cntfet p in
+  Alcotest.(check (float 0.0)) "same current" cold again;
+  Alcotest.(check int) "solved again, not loaded" 1 (L.cache_stats ()).L.misses;
+  Alcotest.(check bool) "no _cache directory" false (Sys.file_exists "_cache")
+
 let hit_ratio_zero_lookups () =
   (* A fresh cache has no lookups: the ratio must be a defined 0.0, not a
      0/0 NaN that poisons downstream telemetry. *)
@@ -329,6 +341,7 @@ let () =
           Alcotest.test_case "series divides" `Quick series_divides;
           Alcotest.test_case "empty pattern" `Quick empty_pattern_no_leak;
           Alcotest.test_case "cache saves solves" `Quick cache_saves_solves;
+          Alcotest.test_case "stays cold after clear" `Quick stays_cold_after_clear;
           Alcotest.test_case "hit ratio with zero lookups" `Quick
             hit_ratio_zero_lookups;
           Alcotest.test_case "classification = brute force" `Slow classification_matches_brute_force;

@@ -247,6 +247,46 @@ let golden_file_roundtrip () =
           Alcotest.(check (float 0.0)) "rtol exact" g.C.g_rtol g'.C.g_rtol)
         golden golden'
 
+(* OCaml 5.1 refuses [Unix.fork] once a domain has ever been spawned. The
+   check runs in a child forked before any domain exists, so this suite's
+   own process keeps forking. *)
+let fork_refused_after_domain () =
+  let check_in_child () =
+    let stats =
+      Runtime.Dpool.run ~domains:2 ~min_units_per_domain:1 ~units:2
+        (fun ~worker:_ ~lo:_ ~len:_ -> ())
+    in
+    if stats.Runtime.Dpool.domains_used <> 2 then failwith "no domain spawned";
+    let probe () =
+      let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      Unix.close fd;
+      fd
+    in
+    let free_fd = probe () in
+    let outcome = S.run ~policy:no_retry ~name:"after-domain" (fun ~degraded:_ -> ()) in
+    (match outcome.S.value with
+    | Result.Error { E.code = E.Unsupported; _ } when outcome.S.attempts = 1 -> ()
+    | _ -> failwith "run: expected one Unsupported attempt");
+    (match S.spawn_async ~name:"after-domain" (fun () -> ()) with
+    | _ -> failwith "spawn_async forked after a domain"
+    | exception E.Error { E.code = E.Unsupported; _ } -> ());
+    if probe () <> free_fd then failwith "a refused fork leaked a descriptor"
+  in
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        match check_in_child () with
+        | () -> 0
+        | exception e ->
+            prerr_endline (Printexc.to_string e);
+            1
+      in
+      Unix._exit code
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "fork after a domain was not refused with a typed error")
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -263,6 +303,8 @@ let () =
             degraded_retry_recovers;
           Alcotest.test_case "retry budget bounded" `Quick retry_budget_bounded;
           Alcotest.test_case "retryable classes" `Quick retryable_classes;
+          Alcotest.test_case "fork refused after a domain" `Quick
+            fork_refused_after_domain;
         ] );
       ( "checkpoint",
         [

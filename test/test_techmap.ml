@@ -59,6 +59,111 @@ let generalized_matches_xor_shapes () =
 (* ------------------------------------------------------------------ *)
 (* Mapper *)
 
+(* The per-minterm builder the word-level one replaced, kept as the
+   reference: every gate expanded over all k!·2^k pin bindings in the same
+   order (gate -> permutation -> polarity mask), with table-free oracles
+   for input negation and renaming. *)
+module Reference_matchlib = struct
+  let rebuild n f = T.of_bits n (Array.init (1 lsl n) f)
+
+  let flip t i = rebuild (T.nvars t) (fun m -> T.eval t (m lxor (1 lsl i)))
+
+  let permute t p =
+    rebuild (T.nvars t) (fun m ->
+        let m' = ref 0 in
+        Array.iteri (fun i v -> if (m lsr v) land 1 = 1 then m' := !m' lor (1 lsl i)) p;
+        T.eval t !m')
+
+  let rec permutations = function
+    | [] -> [ [] ]
+    | items ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) items in
+            List.map (fun p -> x :: p) (permutations rest))
+          items
+
+  let area (c : M.Matchlib.candidate) = c.gate.G.area
+  let delay (c : M.Matchlib.candidate) = c.gate.G.delay
+
+  let insert table key cand =
+    let existing = Option.value ~default:[] (Hashtbl.find_opt table key) in
+    if not (List.exists (fun c -> area c <= area cand && delay c <= delay cand) existing)
+    then begin
+      let merged = List.sort (fun a b -> compare (area a) (area b)) (cand :: existing) in
+      let by_area = List.filteri (fun i _ -> i < 3) merged in
+      let fastest =
+        List.fold_left
+          (fun acc c -> if delay c < delay acc then c else acc)
+          (List.hd merged) merged
+      in
+      Hashtbl.replace table key
+        (if List.memq fastest by_area then by_area else fastest :: by_area)
+    end
+
+  (* (pins, function word) -> candidates *)
+  let build (lib : G.t) =
+    let table = Hashtbl.create 4096 in
+    List.iter
+      (fun (gate : G.gate) ->
+        let k = gate.G.cell.Cell.Cells.pins in
+        if k >= 1 && k <= M.Matchlib.max_pins then begin
+          let base = Cell.Cells.tt gate.G.cell in
+          List.iter
+            (fun perm_list ->
+              let perm = Array.of_list perm_list in
+              for inv_mask = 0 to (1 lsl k) - 1 do
+                let flipped = ref base in
+                for j = 0 to k - 1 do
+                  if (inv_mask lsr j) land 1 = 1 then flipped := flip !flipped j
+                done;
+                let variant = permute !flipped perm in
+                if List.length (T.support variant) = k then
+                  insert table (k, T.to_int64 variant)
+                    { M.Matchlib.gate; perm; inv_mask }
+              done)
+            (permutations (List.init k Fun.id))
+        end)
+      lib.G.gates;
+    table
+end
+
+let ptl_library () =
+  match Cell.Libfile.load_file "../data/libraries/ptl-ambipolar.genlibp" with
+  | Ok lib -> lib
+  | Error e -> Alcotest.failf "cannot load ptl-ambipolar: %a" Runtime.Cnt_error.pp e
+
+let same_candidates (a : M.Matchlib.candidate) (b : M.Matchlib.candidate) =
+  a.gate == b.gate && a.perm = b.perm && a.inv_mask = b.inv_mask
+
+(* Every key the reference indexes resolves to the identical candidate
+   list, and the totals agree, so the word-level table has no extra keys. *)
+let matches_reference_builder lib expected_size () =
+  let lib = lib () in
+  let ml = M.Matchlib.build lib in
+  let reference = Reference_matchlib.build lib in
+  Alcotest.(check int) (lib.G.name ^ " size") expected_size (M.Matchlib.size ml);
+  let total =
+    Hashtbl.fold
+      (fun (k, key) expected n ->
+        let got = M.Matchlib.lookup ml (T.of_int64 k key) in
+        if
+          List.length got <> List.length expected
+          || not (List.for_all2 same_candidates got expected)
+        then Alcotest.failf "%s: candidates differ for %d-input %016Lx" lib.G.name k key;
+        n + List.length expected)
+      reference 0
+  in
+  Alcotest.(check int) (lib.G.name ^ " reference size") expected_size total
+
+let reference_cases =
+  [
+    ("cntfet-generalized", (fun () -> G.generalized_cntfet), 6466);
+    ("cntfet-conventional", (fun () -> G.conventional_cntfet), 202);
+    ("cmos", (fun () -> G.cmos), 202);
+    ("ptl-ambipolar", ptl_library, 102);
+  ]
+
 let random_aig rng ~inputs ~ands ~outs =
   let aig = A.create () in
   let lits = ref [] in
@@ -352,7 +457,12 @@ let () =
           Alcotest.test_case "permutation binding" `Quick lookup_respects_permutation;
           Alcotest.test_case "unknown function" `Quick lookup_unknown_function;
           Alcotest.test_case "generalized xor shapes" `Quick generalized_matches_xor_shapes;
-        ] );
+        ]
+        @ List.map
+            (fun (name, lib, n) ->
+              Alcotest.test_case (name ^ " matches reference builder") `Quick
+                (matches_reference_builder lib n))
+            reference_cases );
       ( "mapper",
         Alcotest.
           [

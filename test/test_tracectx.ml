@@ -274,7 +274,8 @@ let slice_fixture () =
         (("request", "2") :: Tc.to_fields r2);
       ev 5 100 Jn.Worker_spawned
         (("worker_pid", "202") :: Tc.to_fields r2);
-      ev 6 201 Jn.Cache_hit (("cache", "matchlib") :: Tc.to_fields r1);
+      ev 6 201 Jn.Solver_damped_retry
+        (("stage", "dc") :: Tc.to_fields r1);
       ev 7 100 Jn.Request_done (("request", "1") :: Tc.to_fields r1);
       ev 8 100 Jn.Request_done (("request", "2") :: Tc.to_fields r2);
     ]
