@@ -225,7 +225,9 @@ let run_profile () =
         (Cell.Genlib.libraries ()));
   T.with_span "bench.pipeline" (fun () ->
       let nl = Circuits.Multiplier.generate ~width:8 in
-      let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
+      let aig =
+        T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
+      in
       let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
       let mapped = Techmap.Mapper.map ml aig in
       ignore (Techmap.Estimate.run ~patterns:65536 mapped));
@@ -257,9 +259,9 @@ let peak_rss_mb () =
         0.0
         (String.split_on_char '\n' status)
 
-(* One "<circuit>/<family>" row in this process: synthesize and map, then
-   time the 640 K-pattern estimate and measure the major-heap growth it
-   causes. Prints the row as the last line of standard output. *)
+(* One "<circuit>/<family>" row in this process: time [resyn2rs], the
+   mapper and the 640 K-pattern estimate, and measure the major-heap growth
+   the estimate causes. Prints the row as the last line of standard output. *)
 let run_table1_row spec =
   let module J = Runtime.Checkpoint in
   let circuit, family =
@@ -271,14 +273,21 @@ let run_table1_row spec =
     List.find (fun e -> e.Circuits.Suite.name = circuit) Circuits.Suite.all
   in
   let lib = Option.get (Cell.Genlib.find_library family) in
-  let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist (entry.Circuits.Suite.generate ())) in
-  let mapped = Techmap.Mapper.map (Techmap.Matchlib.build lib) aig in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let raw = Aigs.Aig.of_netlist (entry.Circuits.Suite.generate ()) in
+  let aig, resyn2rs_s = timed (fun () -> Aigs.Opt.resyn2rs raw) in
+  let ml = Techmap.Matchlib.build lib in
+  let mapped, map_s = timed (fun () -> Techmap.Mapper.map ml aig) in
   Gc.full_major ();
   let top () = (Gc.quick_stat ()).Gc.top_heap_words in
   let before = top () in
-  let t0 = Unix.gettimeofday () in
-  let r = Techmap.Estimate.run ~patterns:Techmap.Estimate.default_patterns mapped in
-  let wall = Unix.gettimeofday () -. t0 in
+  let r, wall =
+    timed (fun () -> Techmap.Estimate.run ~patterns:Techmap.Estimate.default_patterns mapped)
+  in
   let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576.0 in
   print_endline
     (J.json_to_string_compact
@@ -288,6 +297,8 @@ let run_table1_row spec =
             ("family", J.Str family);
             ("gates", J.Num (float_of_int r.Techmap.Estimate.gates));
             ("total_W", J.Num r.Techmap.Estimate.total);
+            ("resyn2rs_s", J.Num resyn2rs_s);
+            ("map_s", J.Num map_s);
             ("estimate_s", J.Num wall);
             ("estimate_heap_growth_mb", J.Num (mb (top () - before)));
             ("row_peak_rss_mb", J.Num (peak_rss_mb ()));

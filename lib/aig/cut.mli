@@ -9,9 +9,15 @@ type cut = { leaves : int array }
 
 val enumerate : Aig.t -> k:int -> max_cuts:int -> cut array array
 (** [enumerate t ~k ~max_cuts] computes for every node a set of cuts with at
-    most [k] leaves, keeping at most [max_cuts] cuts per node (smallest
-    first; the trivial cut is always included and stored last). Constant and
-    input nodes get only their trivial cut. *)
+    most [k] leaves, keeping at most [max_cuts] cuts per node. Constant and
+    input nodes get only their trivial cut. For an AND node the candidates
+    are the pairwise unions of its fanins' cuts with at most [k] leaves,
+    ordered by size, then lexicographically by leaf ids. Duplicates and
+    dominated candidates (strict supersets of another candidate) are
+    dropped, the first [max_cuts - 1] survivors are kept in that order, and
+    the trivial cut comes last.
+
+    @raise Invalid_argument if [k < 1] or [max_cuts < 1]. *)
 
 val cut_tt : Aig.t -> int -> cut -> Logic.Truthtable.t
 (** Function of the node in terms of the cut leaves (variable [i] = leaf

@@ -78,11 +78,25 @@ let rec aig_cost = function
       (3 * (List.length children - 1))
       + List.fold_left (fun a e -> a + aig_cost e) 0 children
 
+module Tt_tbl = Hashtbl.Make (Logic.Truthtable)
+
 let cut_rebuild ~zero_cost ~k ~max_cuts t =
   let n = Aig.num_nodes t in
   let ninputs = Aig.num_inputs t in
   let cuts = Cut.enumerate t ~k ~max_cuts in
   let fanouts = Aig.fanout_counts t in
+  (* Factored form and its cost per cut function, for this pass only:
+     [E.factor_tt] is pure and most cut functions recur many times. *)
+  let factored = Tt_tbl.create 256 in
+  let factor tt =
+    match Tt_tbl.find_opt factored tt with
+    | Some r -> r
+    | None ->
+        let expr = E.factor_tt tt in
+        let r = (expr, aig_cost expr) in
+        Tt_tbl.add factored tt r;
+        r
+  in
   (* Pass 1: pick a replacement per node (or none). *)
   let choice : (Cut.cut * E.t) option array = Array.make n None in
   for node = ninputs + 1 to n - 1 do
@@ -90,16 +104,23 @@ let cut_rebuild ~zero_cost ~k ~max_cuts t =
     Array.iter
       (fun (cut : Cut.cut) ->
         if Array.length cut.leaves >= 2 && cut.leaves <> [| node |] then begin
-          let tt = Cut.cut_tt t node cut in
-          let expr = E.factor_tt tt in
-          let cost = aig_cost expr in
           let saved = Cut.mffc_size t fanouts node cut in
-          let gain = saved - cost in
-          let accept = if zero_cost then gain >= 0 else gain > 0 in
-          if accept then
+          (* gain = saved - cost with cost >= 0, so a cut with [saved] at or
+             below this bound can be neither accepted nor strictly better. *)
+          let bound =
             match !best with
-            | Some (_, _, best_gain) when best_gain >= gain -> ()
-            | Some _ | None -> best := Some (cut, expr, gain)
+            | Some (_, _, best_gain) -> best_gain
+            | None -> if zero_cost then -1 else 0
+          in
+          if saved > bound then begin
+            let expr, cost = factor (Cut.cut_tt t node cut) in
+            let gain = saved - cost in
+            let accept = if zero_cost then gain >= 0 else gain > 0 in
+            if accept then
+              match !best with
+              | Some (_, _, best_gain) when best_gain >= gain -> ()
+              | Some _ | None -> best := Some (cut, expr, gain)
+          end
         end)
       cuts.(node);
     choice.(node) <- Option.map (fun (cut, expr, _) -> (cut, expr)) !best
@@ -141,11 +162,8 @@ let refactor ?(k = 8) ?(max_cuts = 4) t = cut_rebuild ~zero_cost:false ~k ~max_c
 (* Script                                                              *)
 
 let resyn2rs t =
-  let step f t = f t in
   let once t =
-    t |> step balance |> step rewrite |> step refactor |> step balance
-    |> step (rewrite ~zero_cost:true)
-    |> step balance
+    t |> balance |> rewrite |> refactor |> balance |> rewrite ~zero_cost:true |> balance
   in
   let rec iterate t best_ands rounds =
     if rounds = 0 then t

@@ -15,11 +15,21 @@ val rewrite : ?zero_cost:bool -> ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t
     accept the replacement when it saves AIG nodes compared to the
     maximum-fanout-free cone of the cut ([zero_cost] also accepts
     size-neutral replacements, which perturbs the structure like ABC's
-    [rw -z]). *)
+    [rw -z]). Per node the cut with the largest gain wins, the first one on
+    ties.
+
+    The result does not depend on two shortcuts. A cut whose cone saves no
+    more nodes than the best gain found so far for the node is skipped
+    before its function is computed: its cost is never negative, so it
+    cannot win. And the factored form and cost of each distinct cut
+    function are computed once per pass, in a table that lives for that
+    call only. *)
 
 val refactor : ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t
 (** Same engine with larger cuts (default [k = 8]), corresponding to ABC's
-    [refactor]. *)
+    [refactor]. For both passes [k] and [max_cuts] go to
+    {!Cut.enumerate}, which raises [Invalid_argument] if either is below
+    1. *)
 
 val resyn2rs : Aig.t -> Aig.t
 (** Optimization script modeled after ABC's [resyn2rs]: interleaved balance,

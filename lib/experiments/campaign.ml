@@ -145,7 +145,7 @@ let execute cfg shard ~attempt =
   let nl = entry.Circuits.Suite.generate () in
   let (_ : Nets.Check.report) = Nets.Check.check_exn nl in
   let aig = Aigs.Aig.of_netlist nl in
-  let opt = Aigs.Opt.resyn2rs aig in
+  let opt = T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs aig) in
   let ml = Techmap.Matchlib.build lib in
   match Techmap.Mapper.map_checked ml opt with
   | Error e -> E.raise_error (E.with_context e ctx)

@@ -97,7 +97,12 @@ let cofactor t i b =
     { n = t.n; data }
   end
 
-let depends_on t i = not (equal (cofactor t i false) (cofactor t i true))
+let depends_on t i =
+  assert (i >= 0 && i < t.n);
+  if t.n <= 6 then
+    let w = t.data.(0) in
+    not (Int64.equal (word_cofactor i false w) (word_cofactor i true w))
+  else not (equal (cofactor t i false) (cofactor t i true))
 
 let support t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (if depends_on t i then i :: acc else acc) in
@@ -177,11 +182,21 @@ let flip_input t i =
 let shrink t =
   let sup = Array.of_list (support t) in
   let k = Array.length sup in
-  rebuild k (fun m ->
-      let m' = ref 0 in
-      Array.iteri (fun j v -> if (m lsr j) land 1 = 1 then m' := !m' lor (1 lsl v)) sup;
-      (* Variables outside the support do not matter; leave them 0. *)
-      eval t !m')
+  if t.n <= 6 then begin
+    (* Move support variable [sup.(j)] down to position [j], which by then
+       holds a variable the function ignores. Afterwards the ignored
+       variables sit at positions >= k, and minterms [0, 2^k) are the
+       projection. *)
+    let w = ref t.data.(0) in
+    Array.iteri (fun j v -> if j <> v then w := word_swap !w j v) sup;
+    { n = k; data = [| Int64.logand !w (small_mask k) |] }
+  end
+  else
+    rebuild k (fun m ->
+        let m' = ref 0 in
+        Array.iteri (fun j v -> if (m lsr j) land 1 = 1 then m' := !m' lor (1 lsl v)) sup;
+        (* Variables outside the support do not matter; leave them 0. *)
+        eval t !m')
 
 let expand t n =
   assert (n >= t.n && n <= 16);

@@ -130,7 +130,7 @@ let run_blif ?domains ?patterns ?seed ~lib text =
     match
       E.protect ~stage:E.Techmap (fun () ->
           let aig = Aigs.Aig.of_netlist nl in
-          let opt = Aigs.Opt.resyn2rs aig in
+          let opt = T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs aig) in
           let ml = Matchlib.build lib in
           Mapper.map_checked ml opt)
     with

@@ -21,7 +21,9 @@ val map :
 (** Map the AIG. Raises [Runtime.Cnt_error.Error] (code [Unmapped_node])
     if some cut function has no match and no decomposition applies (cannot
     happen when the library contains INV and NAND2/NOR2, since every AND
-    node has its 2-leaf cut). *)
+    node has its 2-leaf cut). Cuts come from {!Aigs.Cut.enumerate} with
+    [k] (default 6) and [max_cuts] (default 10), which must be at least 1.
+    @raise Invalid_argument otherwise. *)
 
 val map_checked :
   ?objective:objective ->

@@ -170,6 +170,195 @@ let cut_tt_full_adder () =
       in
       Alcotest.check tt "sum is parity" parity f
 
+(* ------------------------------------------------------------------ *)
+(* Cut kernels *)
+
+(* The list-based enumerator this library used before its sort-and-scan
+   rewrite, kept verbatim as the reference the fast one must reproduce cut
+   for cut, in the same order. *)
+module Reference_cut = struct
+  module Aig = A
+
+  type cut = Cut.cut = { leaves : int array }
+
+  (* Merge two sorted leaf arrays; None if the union exceeds k. *)
+  let merge k a b =
+    let la = Array.length a and lb = Array.length b in
+    let out = Array.make (la + lb) 0 in
+    let rec go i j n =
+      if i = la && j = lb then Some (Array.sub out 0 n)
+      else if n = k then None
+      else begin
+        let v, i', j' =
+          if j = lb || (i < la && a.(i) < b.(j)) then (a.(i), i + 1, j)
+          else if i = la || b.(j) < a.(i) then (b.(j), i, j + 1)
+          else (a.(i), i + 1, j + 1)
+        in
+        out.(n) <- v;
+        go i' j' (n + 1)
+      end
+    in
+    go 0 0 0
+
+  let subset a b =
+    (* is a a subset of b? both sorted *)
+    let la = Array.length a and lb = Array.length b in
+    let rec go i j =
+      if i = la then true
+      else if j = lb then false
+      else if a.(i) = b.(j) then go (i + 1) (j + 1)
+      else if a.(i) > b.(j) then go i (j + 1)
+      else false
+    in
+    go 0 0
+
+  let enumerate t ~k ~max_cuts =
+    let n = Aig.num_nodes t in
+    let cuts = Array.make n [||] in
+    for node = 0 to n - 1 do
+      let trivial = { leaves = [| node |] } in
+      if not (Aig.is_and t node) then cuts.(node) <- [| trivial |]
+      else begin
+        let f0 = Aig.node_of_lit (Aig.fanin0 t node) in
+        let f1 = Aig.node_of_lit (Aig.fanin1 t node) in
+        let acc = ref [] in
+        Array.iter
+          (fun c0 ->
+            Array.iter
+              (fun c1 ->
+                match merge k c0.leaves c1.leaves with
+                | None -> ()
+                | Some leaves -> acc := { leaves } :: !acc)
+              cuts.(f1))
+          cuts.(f0);
+        (* Deduplicate and drop dominated cuts (supersets of another cut). *)
+        let all = List.sort_uniq compare !acc in
+        let irredundant =
+          List.filter
+            (fun c ->
+              not
+                (List.exists (fun c' -> c' <> c && subset c'.leaves c.leaves) all))
+            all
+        in
+        let by_size = List.sort (fun a b -> compare (Array.length a.leaves) (Array.length b.leaves)) irredundant in
+        let kept =
+          let rec take n = function
+            | [] -> []
+            | _ when n = 0 -> []
+            | c :: rest -> c :: take (n - 1) rest
+          in
+          take (max_cuts - 1) by_size
+        in
+        cuts.(node) <- Array.of_list (kept @ [ trivial ])
+      end
+    done;
+    cuts
+end
+
+let suite_aigs =
+  lazy
+    (List.map
+       (fun (e : Circuits.Suite.entry) -> (e.Circuits.Suite.name, A.of_netlist (e.generate ())))
+       Circuits.Suite.all)
+
+let cuts_match_reference () =
+  List.iter
+    (fun (name, aig) ->
+      List.iter
+        (fun (k, max_cuts) ->
+          let fast = Cut.enumerate aig ~k ~max_cuts in
+          let reference = Reference_cut.enumerate aig ~k ~max_cuts in
+          Array.iteri
+            (fun node (cuts : Cut.cut array) ->
+              if cuts <> reference.(node) then
+                Alcotest.failf "%s (k=%d, max_cuts=%d): cuts of node %d differ" name k
+                  max_cuts node)
+            fast)
+        [ (4, 8); (8, 4); (6, 10) ])
+    (Lazy.force suite_aigs)
+
+let cut_limits_rejected () =
+  let aig = full_adder_aig () in
+  List.iter
+    (fun (k, max_cuts) ->
+      match Cut.enumerate aig ~k ~max_cuts with
+      | _ -> Alcotest.failf "k=%d max_cuts=%d accepted" k max_cuts
+      | exception Invalid_argument _ -> ())
+    [ (0, 8); (4, 0); (4, -1) ];
+  (* max_cuts = 1 keeps only the trivial cut. *)
+  Array.iteri
+    (fun node (cuts : Cut.cut array) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d: only the trivial cut" node)
+        true
+        (cuts = [| { Cut.leaves = [| node |] } |]))
+    (Cut.enumerate aig ~k:4 ~max_cuts:1)
+
+let mffc_shared_and_private () =
+  (* x = a&b is private to r1 = x&c; y = b&c is shared by r1' = y&a and the
+     output z = y&d. The root r = r1 & r1'. *)
+  let aig = A.create () in
+  let a = A.add_input aig "a" and b = A.add_input aig "b" in
+  let c = A.add_input aig "c" and d = A.add_input aig "d" in
+  let x = A.mk_and aig a b and y = A.mk_and aig b c in
+  let r1 = A.mk_and aig x c and r2 = A.mk_and aig y a in
+  let r = A.mk_and aig r1 r2 in
+  let z = A.mk_and aig y d in
+  A.add_output aig "r" r;
+  A.add_output aig "z" z;
+  let fanouts = A.fanout_counts aig in
+  let node = A.node_of_lit in
+  let size leaves = Cut.mffc_size aig fanouts (node r) { Cut.leaves } in
+  let inputs = Array.map node [| a; b; c |] in
+  (* Over the inputs: r, r1, x and r2 die; y survives through z. *)
+  Alcotest.(check int) "cut {a,b,c}" 4 (size inputs);
+  Alcotest.(check int) "cut {r1,r2}" 1 (size [| node r1; node r2 |]);
+  Alcotest.(check int) "cut {x,c,y,a}" 3
+    (size (Array.of_list (List.sort compare [ node x; node c; node y; node a ])));
+  (* The node itself as its only leaf: nothing above the cut. *)
+  Alcotest.(check int) "trivial cut" 0 (size [| node r |]);
+  (* Over inputs for z: y has another reference (r2), so only z dies. *)
+  Alcotest.(check int) "z over inputs" 1
+    (Cut.mffc_size aig fanouts (node z) { Cut.leaves = Array.map node [| b; c; d |] })
+
+(* [resyn2rs] on every suite circuit, pinned node for node: AND count,
+   depth and an MD5 of the fanin literals of every AND node followed by
+   the named output literals. *)
+let aig_digest aig =
+  let b = Buffer.create 4096 in
+  for nd = A.num_inputs aig + 1 to A.num_nodes aig - 1 do
+    Buffer.add_string b (Printf.sprintf "%d %d\n" (A.fanin0 aig nd) (A.fanin1 aig nd))
+  done;
+  Array.iter
+    (fun (name, lit) -> Buffer.add_string b (Printf.sprintf "%s=%d\n" name lit))
+    (A.outputs aig);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let resyn2rs_pinned =
+  [
+    ("C2670", 591, 38, "96b6498432a3738dc63150d8c1e29450");
+    ("C1908", 195, 14, "17f06acd66b633c38df3bde757aabc65");
+    ("C3540", 1074, 59, "6d099ee8330a256d2c1652bb3fda5f49");
+    ("dalu", 1100, 55, "e623a9456594ecb15bcb5497afc3a193");
+    ("C7552", 2029, 109, "02c5669abf7eb8e848244719699c8e34");
+    ("C6288", 2334, 101, "677b11aa5673ac3e924f09bb5146182e");
+    ("C5315", 1234, 74, "d15f0698e316b0117e1559dcf10744df");
+    ("des", 2672, 27, "cd057113dbe668522f73aa47cf5cf6eb");
+    ("i10", 1509, 137, "7385d72825aa8e517749c7f1aea42198");
+    ("t481", 532, 63, "0da3895ff8097380529d75257e20fbb8");
+    ("i8", 787, 89, "06f90b7e2b9efdc10532e21ea28e2531");
+    ("C1355", 368, 17, "4eebced0767dc29f9b21c62ee23375f0");
+  ]
+
+let resyn2rs_suite_pinned () =
+  List.iter
+    (fun (name, ands, depth, digest) ->
+      let opt = Opt.resyn2rs (List.assoc name (Lazy.force suite_aigs)) in
+      Alcotest.(check int) (name ^ ": ands") ands (A.num_ands opt);
+      Alcotest.(check int) (name ^ ": depth") depth (A.depth opt);
+      Alcotest.(check string) (name ^ ": structure digest") digest (aig_digest opt))
+    resyn2rs_pinned
+
 let pass_preserves name pass =
   QCheck.Test.make ~count:60 ~name
     QCheck.(make Gen.(int_bound 10_000))
@@ -274,6 +463,9 @@ let () =
         [
           Alcotest.test_case "trivial cut present" `Quick cut_enumeration_trivial;
           Alcotest.test_case "full-adder sum cut tt" `Quick cut_tt_full_adder;
+          Alcotest.test_case "limits below 1 rejected" `Quick cut_limits_rejected;
+          Alcotest.test_case "mffc shared and private fanins" `Quick mffc_shared_and_private;
+          Alcotest.test_case "suite cuts = reference enumerator" `Slow cuts_match_reference;
         ] );
       ( "aiger",
         Alcotest.
@@ -289,6 +481,7 @@ let () =
             test_case "balance not deeper" `Quick balance_not_deeper;
             test_case "rewrite removes redundancy" `Quick rewrite_reduces_redundancy;
             test_case "resyn2rs equivalence + benefit" `Slow resyn_monotone_benefit;
+            test_case "resyn2rs suite pinned" `Slow resyn2rs_suite_pinned;
           ]
         @ qt
             [

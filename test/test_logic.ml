@@ -183,6 +183,45 @@ let permute_matches_oracle n =
          pair (qcheck_tt_gen n) (map Array.of_list (shuffle_l (List.init n Fun.id)))))
     (fun (f, p) -> T.equal (T.permute f p) (oracle_permute f p))
 
+(* Per-minterm oracles for support and shrink. *)
+let oracle_support t =
+  let n = T.nvars t in
+  List.filter
+    (fun i ->
+      List.exists
+        (fun m -> T.eval t m <> T.eval t (m lxor (1 lsl i)))
+        (List.init (1 lsl n) Fun.id))
+    (List.init n Fun.id)
+
+let oracle_shrink t =
+  let sup = Array.of_list (oracle_support t) in
+  let k = Array.length sup in
+  T.of_bits k
+    (Array.init (1 lsl k) (fun m ->
+         let m' = ref 0 in
+         Array.iteri (fun j v -> if (m lsr j) land 1 = 1 then m' := !m' lor (1 lsl v)) sup;
+         T.eval t !m'))
+
+(* A random table that ignores a random subset of its variables, so that
+   support and shrink see every support shape. *)
+let qcheck_partial_tt_gen n =
+  QCheck.Gen.(
+    map2
+      (fun f keep ->
+        T.of_bits n (Array.init (1 lsl n) (fun m -> T.eval f (m land keep))))
+      (qcheck_tt_gen n)
+      (int_bound ((1 lsl n) - 1)))
+
+let support_shrink_match_oracle n =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "support/shrink = per-minterm oracle (n=%d)" n)
+    (QCheck.make ~print:(Format.asprintf "%a" T.pp) (qcheck_partial_tt_gen n))
+    (fun f ->
+      T.support f = oracle_support f
+      && List.for_all (fun i -> T.depends_on f i = List.mem i (oracle_support f))
+           (List.init n Fun.id)
+      && T.equal (T.shrink f) (oracle_shrink f))
+
 let isop_covers_exactly n =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "isop covers exactly (n=%d)" n)
@@ -350,7 +389,12 @@ let () =
       ( "tt-kernels",
         qt
           (List.concat_map
-             (fun n -> [ flip_matches_oracle n; permute_matches_oracle n ])
+             (fun n ->
+               [
+                 flip_matches_oracle n;
+                 permute_matches_oracle n;
+                 support_shrink_match_oracle n;
+               ])
              [ 1; 2; 3; 4; 5; 6; 7; 8 ]) );
       ( "isop",
         qt
