@@ -114,19 +114,16 @@ let micro_tests () =
   in
   let sim_seq_vs_par =
     (* Sequential vs. domain-parallel streaming activity sweep over the
-       same mapped netlist: the pair pins the parallel speedup (and on a
+       same subject AIG: the pair pins the parallel speedup (and on a
        1-core host, the sharding overhead) of the bit-sliced kernel. *)
     let nl = Circuits.Multiplier.generate ~width:8 in
     let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-    let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-    let mapped = Techmap.Mapper.map ml aig in
     [
       Test.make ~name:"simulate-mult8-64k-seq"
         (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.activity ~domains:1 mapped ~patterns:65536)));
+             ignore (Techmap.Activity.sweep ~domains:1 aig ~patterns:65536)));
       Test.make ~name:"simulate-mult8-64k-par"
-        (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.activity mapped ~patterns:65536)));
+        (Staged.stage (fun () -> ignore (Techmap.Activity.sweep aig ~patterns:65536)));
     ]
   in
   let supervise =

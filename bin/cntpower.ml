@@ -261,21 +261,26 @@ let run_synth circuit libfiles patterns seed domains =
       entry.Circuits.Suite.description Aigs.Aig.pp_stats aig Nets.Check.pp_report wf;
     let opt = Aigs.Opt.resyn2rs aig in
     Format.fprintf std "after resyn2rs: %a@." Aigs.Aig.pp_stats opt;
+    let subject = Techmap.Mapper.subject opt in
+    let activity = Techmap.Estimate.simulate ~patterns ~seed opt in
     List.iter
       (fun lib ->
         let ml = Techmap.Matchlib.build lib in
-        match Techmap.Mapper.map_checked ml opt with
+        match R.protect ~stage:R.Techmap (fun () -> Techmap.Mapper.map_subject ml subject) with
         | Result.Error e ->
             R.raise_error
               (R.with_context e
                  [ ("circuit", circuit); ("library", lib.Cell.Genlib.name) ])
         | Ok mapped ->
-            let ok = Techmap.Mapped.check mapped nl ~patterns:512 ~seed:4L in
+            let ok =
+              Runtime.Telemetry.with_span "techmap.verify" (fun () ->
+                  Techmap.Mapped.check mapped nl ~patterns:512 ~seed:4L)
+            in
             Format.fprintf std "@.%a (verified: %b)@." Techmap.Mapped.pp_stats mapped ok;
             List.iter
               (fun (name, count) -> Format.fprintf std "  %-10s x%d@." name count)
               (Techmap.Mapped.gate_histogram mapped);
-            let report = Techmap.Estimate.run ~patterns ~seed mapped in
+            let report = Techmap.Estimate.of_activity activity mapped in
             Format.fprintf std "  %a@." Techmap.Estimate.pp_report report;
             let sta = Techmap.Sta.analyze mapped in
             Format.fprintf std "  %a@." Techmap.Sta.pp_report sta)
@@ -319,11 +324,15 @@ let run_blif_pipeline ppf ~patterns ~seed path =
     Nets.Check.pp_report wf;
   let aig = Aigs.Aig.of_netlist nl in
   let opt = Aigs.Opt.resyn2rs aig in
+  let subject = Techmap.Mapper.subject opt in
+  let activity = Techmap.Estimate.simulate ~patterns ~seed opt in
   List.concat_map
     (fun lib ->
       let ml = Techmap.Matchlib.build lib in
-      let mapped = R.get_exn (Techmap.Mapper.map_checked ml opt) in
-      let report = Techmap.Estimate.run ~patterns ~seed mapped in
+      let mapped =
+        R.get_exn (R.protect ~stage:R.Techmap (fun () -> Techmap.Mapper.map_subject ml subject))
+      in
+      let report = Techmap.Estimate.of_activity activity mapped in
       Format.fprintf ppf "  %-20s %a@." lib.Cell.Genlib.name
         Techmap.Estimate.pp_report report;
       [

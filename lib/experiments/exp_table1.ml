@@ -25,11 +25,19 @@ let run ?(patterns = E.default_patterns) ?(seed = 42L) ?(circuits = Circuits.Sui
         let (_ : Nets.Check.report) = Nets.Check.check_exn nl in
         let aig = A.of_netlist nl in
         let opt = T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs aig) in
+        (* The cuts and the switching counts depend on the AIG alone: one
+           pass of each serves every family. *)
+        let subject = Techmap.Mapper.subject opt in
+        let activity = E.simulate ~patterns ~seed opt in
         let results =
           List.map
             (fun (lib, ml) ->
-              let mapped = Techmap.Mapper.map ml opt in
-              if verify && not (Techmap.Mapped.check mapped nl ~patterns:512 ~seed:99L)
+              let mapped = Techmap.Mapper.map_subject ml subject in
+              if
+                verify
+                && not
+                     (T.with_span "techmap.verify" (fun () ->
+                          Techmap.Mapped.check mapped nl ~patterns:512 ~seed:99L))
               then
                 Runtime.Cnt_error.failf
                   ~context:
@@ -37,7 +45,7 @@ let run ?(patterns = E.default_patterns) ?(seed = 42L) ?(circuits = Circuits.Sui
                   Runtime.Cnt_error.Techmap Runtime.Cnt_error.Mismatch
                   "Table1: %s mapped with %s is not equivalent"
                   entry.Circuits.Suite.name lib.G.name;
-              (lib.G.name, E.run ~patterns ~seed mapped))
+              (lib.G.name, E.of_activity activity mapped))
             matchlibs
         in
         {

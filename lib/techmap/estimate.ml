@@ -56,30 +56,42 @@ let static_components (m : Mapped.t) ~probs =
     m.Mapped.cells;
   (!static, !gate_leak)
 
-let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
-    ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
-  T.with_span "techmap.estimate" (fun () ->
+let check_patterns fn patterns =
+  if patterns < 1 then
+    invalid_arg (Printf.sprintf "Estimate.%s: patterns = %d, must be >= 1" fn patterns)
+
+let simulate ?domains ?(patterns = default_patterns) ?(seed = 42L) aig =
+  check_patterns "simulate" patterns;
+  T.with_span "estimate.simulate" (fun () ->
+      let t0 = if T.enabled () then T.now () else 0.0 in
+      let act = Activity.sweep ?domains ~seed aig ~patterns in
+      if T.enabled () then begin
+        let dt = T.now () -. t0 in
+        T.count "estimate.patterns_simulated" patterns;
+        if dt > 0.0 then
+          T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt)
+      end;
+      act)
+
+(* The report of [m] from the counts of its subject, read by net
+   literal. *)
+let report ~wire_cap_per_fanout act (m : Mapped.t) =
+  if Activity.subject act != m.Mapped.subject then
+    invalid_arg "Estimate.of_activity: the activity is not of the netlist's subject AIG";
   let tech = m.Mapped.lib.G.tech in
   let vdd = tech.Spice.Tech.vdd in
   let f = Spice.Tech.frequency in
-  let t0 = if T.enabled () then T.now () else 0.0 in
-  let act =
-    T.with_span "estimate.simulate" (fun () ->
-        Mapped.activity ?domains ~seed m ~patterns)
-  in
-  if T.enabled () then begin
-    let dt = T.now () -. t0 in
-    T.count "estimate.patterns_simulated" patterns;
-    T.count "estimate.cells_simulated" (Array.length m.Mapped.cells);
-    if dt > 0.0 then
-      T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt)
-  end;
+  let patterns = Activity.patterns act in
   let toggle net =
     if patterns <= 1 then 0.0
-    else float_of_int act.Mapped.toggles.(net) /. float_of_int (patterns - 1)
+    else
+      float_of_int (Activity.toggles act m.Mapped.net_lits.(net))
+      /. float_of_int (patterns - 1)
   in
   let probs =
-    Array.map (fun ones -> float_of_int ones /. float_of_int patterns) act.Mapped.ones
+    Array.map
+      (fun lit -> float_of_int (Activity.ones act lit) /. float_of_int patterns)
+      m.Mapped.net_lits
   in
   let loads = Mapped.net_loads ~wire_cap_per_fanout m in
   (* Dynamic power: every net that toggles charges its load. *)
@@ -105,7 +117,17 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     gate_leak;
     total;
     edp = Power.Powermodel.edp ~total_power:total ~delay ();
-  })
+  }
+
+let of_activity ?(wire_cap_per_fanout = 0.0) act m =
+  T.with_span "techmap.estimate" (fun () -> report ~wire_cap_per_fanout act m)
+
+let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
+    ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
+  check_patterns "run" patterns;
+  T.with_span "techmap.estimate" (fun () ->
+      let act = simulate ?domains ~patterns ~seed m.Mapped.subject in
+      report ~wire_cap_per_fanout act m)
 
 let pp_report ppf r =
   Format.fprintf ppf

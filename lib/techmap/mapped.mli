@@ -2,7 +2,15 @@
 
     Net 0.. are created in topological order: primary-input nets first, then
     one net per cell output. This is the form on which area, delay and the
-    paper's Table 1 power figures are computed. *)
+    paper's Table 1 power figures are computed.
+
+    {b Net literals.} A netlist covers a subject AIG, and every net carries
+    the function of one literal of it: primary-input net [i] is input
+    literal [i] of {!Aigs.Aig.input_lits}, a rail-tied net is literal 0 or
+    1, and a cell output is the (node, phase) pair the mapper realized
+    there. So per-net switching counts are read off one sweep of the
+    subject ({!Activity}) by literal, shared by every family mapped from
+    the same AIG. *)
 
 type cell = {
   gate : Cell.Genlib.gate;
@@ -18,6 +26,9 @@ type t = {
   const_nets : (int * bool) array;
       (** rail-tied nets (constant primary outputs after optimization) *)
   cells : cell array;  (** topological order *)
+  subject : Aigs.Aig.t;  (** the AIG this netlist covers *)
+  net_lits : Aigs.Aig.lit array;
+      (** per net: the subject literal whose function the net carries *)
 }
 
 val num_gates : t -> int
@@ -41,31 +52,14 @@ val gate_histogram : t -> (string * int) list
 (** Cell usage count by gate name, descending. *)
 
 val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** Per-net values given one stimulus vector per primary input. Runs the
-    same lowered cube kernel as {!activity}, then copies every net's full
+(** Per-net values given one stimulus vector per primary input. Runs a
+    lowered cube kernel over {!Sweep.run}, then copies every net's full
     vector out, so memory grows with the pattern count; use it where the
     values themselves are needed (co-simulation, sequential stepping).
     The pattern axis shards across domains ({!Runtime.Dpool},
     word-aligned chunks); results are bit-identical for any [?domains]
-    (default {!Runtime.Dpool.default_domains}). *)
-
-type activity = {
-  ones : int array;  (** per net: patterns on which the net is 1 *)
-  toggles : int array;
-      (** per net: consecutive pattern pairs on which the net changes *)
-}
-
-val activity : ?domains:int -> ?seed:int64 -> t -> patterns:int -> activity
-(** Streaming switching-activity sweep over [patterns] uniform random
-    patterns: the stimulus is bit-identical to
-    [Nets.Sim.random_stimulus ~seed] (default [42L]), and [ones.(n)] and
-    [toggles.(n)] equal [Bitvec.popcount] and [Bitvec.transitions] of net
-    [n]'s vector under {!simulate}. No vector is materialized: each
-    domain evaluates fixed 4096-pattern chunks in an off-heap scratch of
-    [num_nets] × 512 B, generates each chunk's stimulus with
-    {!Logic.Prng.jump}, and keeps integer counts, so memory is bounded by
-    the netlist size alone and the counts are identical for any
-    [?domains]. *)
+    (default {!Runtime.Dpool.default_domains}). Switching counts for
+    power estimation come from {!Activity.sweep} of the subject instead. *)
 
 val check :
   ?domains:int -> t -> Nets.Netlist.t -> patterns:int -> seed:int64 -> bool

@@ -18,36 +18,65 @@ let better objective a b =
   | Delay -> a.arrival < b.arrival -. 1e-18 || (a.arrival < b.arrival +. 1e-18 && a.aflow < b.aflow)
   | Area -> a.aflow < b.aflow -. 1e-24 || (a.aflow < b.aflow +. 1e-24 && a.arrival < b.arrival)
 
-(* Pre-computed matching data per AND node: for each cut, the shrunk cut
-   function's support leaves and the candidate list per output phase. *)
+(* The family-independent half of mapping. Entries
+   [first.(n) .. first.(n + 1) - 1] are AND node [n]'s non-trivial cuts,
+   in {!Cut.enumerate}'s order, whose function depends on at least one
+   and at most {!Matchlib.max_pins} leaves (no other cut can match): each
+   entry's support leaves, and in [words] its cut function shrunk onto
+   them. The words live off the OCaml heap, so a subject held across
+   several families costs the collector only its leaf arrays. *)
+type subject = {
+  aig : A.t;
+  first : int array;
+  leaves : int array array;
+  words : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+}
+
+let subject ?(k = 6) ?(max_cuts = 10) aig =
+  Runtime.Telemetry.with_span "techmap.subject" (fun () ->
+      let n = A.num_nodes aig in
+      let cuts = Cut.enumerate aig ~k ~max_cuts in
+      let capacity = Array.fold_left (fun acc c -> acc + Array.length c) 0 cuts in
+      let first = Array.make (n + 1) 0 in
+      let leaves = Array.make capacity [||] in
+      let words = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout capacity in
+      let next = ref 0 in
+      for node = 0 to n - 1 do
+        first.(node) <- !next;
+        if A.is_and aig node then
+          Array.iter
+            (fun (cut : Cut.cut) ->
+              if cut.Cut.leaves <> [| node |] then begin
+                let tt = Cut.cut_tt aig node cut in
+                let support = T.support tt in
+                let size = List.length support in
+                if size >= 1 && size <= Matchlib.max_pins then begin
+                  leaves.(!next) <- Array.of_list (List.map (fun v -> cut.Cut.leaves.(v)) support);
+                  Bigarray.Array1.unsafe_set words !next (T.to_int64 (T.shrink tt));
+                  incr next
+                end
+              end)
+            cuts.(node)
+      done;
+      first.(n) <- !next;
+      { aig; first; leaves; words })
+
+(* Matching data per AND node: the cuts with a library match in either
+   phase, each with its support leaves and the candidates per output
+   phase, in reverse cut order. *)
 type node_matches = (int array * Matchlib.candidate list * Matchlib.candidate list) list
 
-let compute_matches ml aig ~k ~max_cuts =
-  let n = A.num_nodes aig in
-  let ninputs = A.num_inputs aig in
-  let cuts = Cut.enumerate aig ~k ~max_cuts in
-  let matches : node_matches array = Array.make n [] in
-  for node = ninputs + 1 to n - 1 do
-    let acc = ref [] in
-    Array.iter
-      (fun (cut : Cut.cut) ->
-        if not (cut.Cut.leaves = [| node |]) then begin
-          let tt_full = Cut.cut_tt aig node cut in
-          let support = T.support tt_full in
-          if support <> [] then begin
-            let tt = T.shrink tt_full in
-            let leaves_sup =
-              Array.of_list (List.map (fun v -> cut.Cut.leaves.(v)) support)
-            in
-            let pos = Matchlib.lookup ml tt in
-            let neg = Matchlib.lookup ml (T.lognot tt) in
-            if pos <> [] || neg <> [] then acc := (leaves_sup, pos, neg) :: !acc
-          end
-        end)
-      cuts.(node);
-    matches.(node) <- !acc
-  done;
-  matches
+let compute_matches ml s =
+  Array.init (A.num_nodes s.aig) (fun node ->
+      let acc = ref [] in
+      for e = s.first.(node) to s.first.(node + 1) - 1 do
+        let leaves = s.leaves.(e) in
+        let tt = T.of_int64 (Array.length leaves) (Bigarray.Array1.unsafe_get s.words e) in
+        let pos = Matchlib.lookup ml tt in
+        let neg = Matchlib.lookup ml (T.lognot tt) in
+        if pos <> [] || neg <> [] then acc := (leaves, pos, neg) :: !acc
+      done;
+      !acc)
 
 (* One selection pass: per node and phase, pick the best match under the
    objective, using [weight] as the fanout estimate for area flow. *)
@@ -160,21 +189,24 @@ let cover_references best aig =
 
 let extract best aig lib inv =
   let next_net = ref 0 in
-  let fresh_net () =
+  let net_lits = ref [] in
+  (* A fresh net carrying literal [lit] of the subject. *)
+  let fresh_net lit =
     let id = !next_net in
     incr next_net;
+    net_lits := lit :: !net_lits;
     id
   in
   let pi_nets =
     Array.map
-      (fun lit -> (A.input_name aig (A.node_of_lit lit), fresh_net ()))
+      (fun lit -> (A.input_name aig (A.node_of_lit lit), fresh_net lit))
       (A.input_lits aig)
   in
   let cells = ref [] in
   let memo_hits = ref 0 in
   let memo = Hashtbl.create 256 in
-  let add_cell gate inputs =
-    let out = fresh_net () in
+  let add_cell lit gate inputs =
+    let out = fresh_net lit in
     cells := { Mapped.gate; inputs; output = out } :: !cells;
     out
   in
@@ -193,10 +225,11 @@ let extract best aig lib inv =
                 Runtime.Cnt_error.Techmap Runtime.Cnt_error.Unmapped_node
                 "Mapper.map: unmapped phase required"
         in
+        let lit = A.lit_of_node node (phase = 1) in
         let net =
           match info.choice with
           | Wire -> snd pi_nets.(node - 1)
-          | Inv -> add_cell inv [| realize node (1 - phase) |]
+          | Inv -> add_cell lit inv [| realize node (1 - phase) |]
           | Gate (cand, leaves) ->
               let gate = cand.Matchlib.gate in
               let pins = Array.length cand.Matchlib.perm in
@@ -206,7 +239,7 @@ let extract best aig lib inv =
                     let need = (cand.Matchlib.inv_mask lsr j) land 1 in
                     realize leaf need)
               in
-              add_cell gate inputs
+              add_cell lit gate inputs
         in
         Hashtbl.replace memo (node, phase) net;
         net
@@ -217,7 +250,7 @@ let extract best aig lib inv =
     match const_net.(phase) with
     | Some net -> net
     | None ->
-        let net = fresh_net () in
+        let net = fresh_net (A.lit_of_node 0 (phase = 1)) in
         const_nets := (net, phase = 1) :: !const_nets;
         const_net.(phase) <- Some net;
         net
@@ -240,13 +273,16 @@ let extract best aig lib inv =
     po_nets;
     const_nets = Array.of_list !const_nets;
     cells;
+    subject = aig;
+    net_lits = Array.of_list (List.rev !net_lits);
   }
 
-let map ?(objective = Delay) ?(k = 6) ?(max_cuts = 10) ml aig =
+let map_subject ?(objective = Delay) ml s =
   Runtime.Telemetry.with_span "techmap.map" (fun () ->
+      let aig = s.aig in
       let lib = Matchlib.library ml in
       let inv = Matchlib.inverter ml in
-      let matches = compute_matches ml aig ~k ~max_cuts in
+      let matches = compute_matches ml s in
       let fanouts = A.fanout_counts aig in
       let weight_of refs node = float_of_int (max 1 refs.(node)) in
       let best = ref (select ~objective ~inv matches aig (weight_of fanouts)) in
@@ -259,6 +295,8 @@ let map ?(objective = Delay) ?(k = 6) ?(max_cuts = 10) ml aig =
           best := select ~objective ~inv matches aig (weight_of refs)
         done;
       extract !best aig lib inv)
+
+let map ?objective ?k ?max_cuts ml aig = map_subject ?objective ml (subject ?k ?max_cuts aig)
 
 let map_checked ?objective ?k ?max_cuts ml aig =
   Runtime.Cnt_error.protect ~stage:Runtime.Cnt_error.Techmap (fun () ->

@@ -447,6 +447,92 @@ let wire_load_increases_power () =
   Alcotest.(check (float 1e-12)) "static unchanged" base.M.Estimate.static
     loaded.M.Estimate.static
 
+(* ------------------------------------------------------------------ *)
+(* Mapped netlists pinned cell for cell                                 *)
+
+(* MD5 of a mapped netlist's structure: nets, PI/PO/constant bindings and
+   every cell's gate, input nets and output net, in order. *)
+let mapped_digest (m : M.Mapped.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%s %d\n" m.M.Mapped.lib.G.name m.M.Mapped.num_nets;
+  Array.iter (fun (n, net) -> Printf.bprintf b "pi %s %d\n" n net) m.M.Mapped.pi_nets;
+  Array.iter (fun (n, net) -> Printf.bprintf b "po %s %d\n" n net) m.M.Mapped.po_nets;
+  Array.iter (fun (net, v) -> Printf.bprintf b "const %d %b\n" net v) m.M.Mapped.const_nets;
+  Array.iter
+    (fun (c : M.Mapped.cell) ->
+      Printf.bprintf b "%s %s %d\n" c.M.Mapped.gate.G.cell.Cell.Cells.name
+        (String.concat "," (Array.to_list (Array.map string_of_int c.M.Mapped.inputs)))
+        c.M.Mapped.output)
+    m.M.Mapped.cells;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Captured from the per-family mapper before cut functions were shared
+   across families. *)
+let pinned_mappings =
+  [
+    ("C2670", "cntfet-generalized", "6ebd0442f6d98413eb45d178f7f8623e");
+    ("C2670", "cntfet-conventional", "99a34d9fd5895580c8d90b8b66dab0ca");
+    ("C2670", "cmos", "f75dd7d56748fa31596980095650be25");
+    ("C1908", "cntfet-generalized", "4bfb6c0adc5d138e8c1f296df4f204b2");
+    ("C1908", "cntfet-conventional", "8ef7cf939af13f0dde4400847e8b9e16");
+    ("C1908", "cmos", "0c01d04e159f3d8334a07df150b88aac");
+    ("C3540", "cntfet-generalized", "1571fd62dc0939236010f1f95f06dba0");
+    ("C3540", "cntfet-conventional", "26f3eab01ddcd4b8e142724f736a894f");
+    ("C3540", "cmos", "ed54abab987fef9f360bc1f9652d5925");
+    ("dalu", "cntfet-generalized", "0ef7d1bf49cbb457e9417e48c45fa045");
+    ("dalu", "cntfet-conventional", "d50e1f096f52947fc6d86599839272ab");
+    ("dalu", "cmos", "f3f2f6978aaf759d33737c08db39407b");
+    ("C7552", "cntfet-generalized", "e16d49fec7b8c9b5096a5611b23299cf");
+    ("C7552", "cntfet-conventional", "0b26f8743ba1e2c50e910361f24d116f");
+    ("C7552", "cmos", "daca87ee8196968c0db159aaa13a3a79");
+    ("C6288", "cntfet-generalized", "d7b76e6b2b8a477ce1e50b86bbcc793b");
+    ("C6288", "cntfet-conventional", "bd589e5d7ecd5ddd1b9e16eea4a968f3");
+    ("C6288", "cmos", "e16c66f8cd4e9dd4191e20752334d093");
+    ("C5315", "cntfet-generalized", "2a33bd85b2108c0818e9847817cd2c75");
+    ("C5315", "cntfet-conventional", "06ab1c79937e4d36cd42eb373340414d");
+    ("C5315", "cmos", "c437a04f77434969009619c3c1614f0e");
+    ("des", "cntfet-generalized", "6394363206203e8991d68ea4b4fd7c16");
+    ("des", "cntfet-conventional", "95497db69e7489d0b146f967eae9015e");
+    ("des", "cmos", "847191950987cbe6572b69c2e41f04b9");
+    ("i10", "cntfet-generalized", "ad61a175e6600a090666d4ad5f6722ad");
+    ("i10", "cntfet-conventional", "7d70bb6f1b84297ce71aec699ba9a465");
+    ("i10", "cmos", "a5ad8a1e70da43d10fadf20a778b4491");
+    ("t481", "cntfet-generalized", "5f1f3cf0429953c586fab447c396f10d");
+    ("t481", "cntfet-conventional", "e47c3e6d932cf9b7631b9a0fbb59703f");
+    ("t481", "cmos", "f18242f58fa247742cbef80f8323e2fe");
+    ("i8", "cntfet-generalized", "b0b76f3de977a08ffddb7ee029634a0d");
+    ("i8", "cntfet-conventional", "16764b187ce25ab7b58e3d1cf48e4207");
+    ("i8", "cmos", "922b5de4de219953e443862caa509b12");
+    ("C1355", "cntfet-generalized", "f76f1fb19e182bc95da1d0985d635c8a");
+    ("C1355", "cntfet-conventional", "e9f756b59e26127cd86ca998c4f3c964");
+    ("C1355", "cmos", "c8f0d69e1da64811853d641d8d16d975");
+  ]
+
+(* One subject per circuit, mapped with every built-in family, gives the
+   pinned netlists, and so does the one-call [map] (checked with the first
+   family: it builds the subject again on every call). *)
+let suite_mappings_pinned () =
+  List.iter
+    (fun (entry : Circuits.Suite.entry) ->
+      let name = entry.Circuits.Suite.name in
+      let aig = Aigs.Opt.resyn2rs (A.of_netlist (entry.Circuits.Suite.generate ())) in
+      let subject = M.Mapper.subject aig in
+      List.iter
+        (fun (lib, ml) ->
+          let what = Printf.sprintf "%s/%s" name lib.G.name in
+          let expected =
+            List.find_map
+              (fun (c, l, d) -> if c = name && l = lib.G.name then Some d else None)
+              pinned_mappings
+          in
+          Alcotest.(check (option string)) (what ^ " via subject") expected
+            (Some (mapped_digest (M.Mapper.map_subject ml subject)));
+          if ml == ml_gen () then
+            Alcotest.(check (option string)) (what ^ " via map") expected
+              (Some (mapped_digest (M.Mapper.map ml aig))))
+        (Lazy.force matchlibs))
+    Circuits.Suite.all
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "techmap"
@@ -471,6 +557,7 @@ let () =
             test_case "constant outputs" `Quick constant_output;
             test_case "negated PI output" `Quick inverter_inserted_for_negated_output;
             test_case "area objective" `Slow mapping_area_objective_not_larger;
+            test_case "suite x 3 families pinned cell for cell" `Slow suite_mappings_pinned;
           ]
         @ qt
             [
